@@ -332,11 +332,10 @@ func main() {
 		}
 		fmt.Fprintf(out, "fleet results merged into %s\n", *jsonPath)
 	}
-	// The event-engine comparison is explicit-only (it simulates every
-	// benchmark under both accounting paths and times the simulator itself
-	// with testing.Benchmark). Its modeled rows (event/latency, event/shard,
-	// event/noc) are pure functions of the -seed; only the event/walltime rows
-	// carry real time. Merging preserves the existing file's header.
+	// The serial-vs-pipelined comparison is explicit-only (it simulates
+	// every benchmark on one, two and four chips). Its rows (event/latency,
+	// event/shard, event/noc) are all modeled, pure functions of the -seed,
+	// and merging preserves the existing file's header.
 	if *fig == "event" {
 		entries, t, err := experiments.FigEvent(cfg)
 		if err != nil {

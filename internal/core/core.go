@@ -7,8 +7,11 @@
 // over event counts extracted from the functional SNN simulation — exactly
 // the paper's methodology (§4.2). It scales to the largest Fig 10 benchmark
 // (231k neurons, 5.5M synapses) because it never materializes crossbar
-// weights: it walks the mapping's MCA input lists against the spike vectors
-// of each timestep.
+// weights: it compiles the mapping once into per-layer plans (inverse
+// input->MCA adjacency, per-mPE word lists) and scatters only the spikes
+// that fire each timestep (event.go). The recorded per-(timestep, layer)
+// stage durations give both the serial cycle count and, through
+// internal/event, the pipelined makespan.
 //
 // Its event counts (and cycle counts) are validated against the cycle-level
 // NeuroCell simulator (internal/neurocell) on small networks.
@@ -27,6 +30,7 @@ import (
 
 	"resparc/internal/bitvec"
 	"resparc/internal/energy"
+	"resparc/internal/event"
 	"resparc/internal/mapping"
 	"resparc/internal/perf"
 	"resparc/internal/sim"
@@ -58,15 +62,6 @@ type Options struct {
 	// BlockSize overrides the temporal block length of the blocked runner
 	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
 	BlockSize int
-	// EventEngine selects the discrete-event accounting path (see event.go):
-	// energies, predictions and event counters are bit-identical to the
-	// stepped accounting, but its cost scales with spike count instead of
-	// timesteps x mapped inputs, and Counters.Cycles/Latency come from a
-	// pipelined (Fig 7a) event simulation instead of serially summing every
-	// stage. Not to be confused with EventDriven, which is the paper's §3.2
-	// zero-check gating (a property of the modeled hardware, not of the
-	// simulator).
-	EventEngine bool
 }
 
 // DefaultOptions returns the paper's evaluation configuration.
@@ -132,22 +127,18 @@ type Report struct {
 	// BusCycles is the portion of Cycles spent on the shared global bus;
 	// bus phases of different stages cannot overlap.
 	BusCycles int
-	// Breakdown splits the total cycles by pipeline phase. Under the event
-	// engine the phases still sum the per-stage durations (identical to the
-	// stepped path), while Counts.Cycles is the smaller pipelined makespan —
-	// the difference is the overlap the pipeline wins.
+	// Breakdown splits the total cycles by pipeline phase; its Total is
+	// Counts.Cycles.
 	Breakdown CycleBreakdown
 	// LayerSpikes counts output spikes per (local) layer over the run — the
 	// sparsity record behind perf.Result's occupancy stats.
 	LayerSpikes []int
-	// Stages holds the per-(timestep, layer) stage durations recorded by the
-	// event engine (nil under stepped accounting), indexed [step][local
-	// layer]. internal/shard feeds the concatenated grids of its shards to
-	// one global pipeline simulation.
-	Stages [][]StageDur
-	// BusWait is the total cycles stages spent queued for the shared global
-	// bus in the pipelined event simulation (zero under stepped accounting).
-	BusWait int64
+	// Stages holds the per-(timestep, layer) stage durations, indexed
+	// [step][local layer]; Counts.Cycles is their serial sum. Pipelined
+	// composes them into the Fig 7(a) pipeline, and internal/shard feeds the
+	// concatenated grids of its shards to one multi-chip pipeline. Batch
+	// aggregates carry none.
+	Stages [][]event.Stage
 	// TraceError records the first trace-write failure, if tracing was
 	// enabled (the simulation itself is unaffected).
 	TraceError error
@@ -169,6 +160,12 @@ func (r Report) PipelineInterval(steps int) int {
 	return (max + steps - 1) / steps
 }
 
+// Pipelined simulates the Fig 7(a) pipeline over the recorded stage grid
+// (event.Pipeline on one chip): layer stages overlap across timesteps and
+// bus phases serialize on the shared global bus. Its Makespan is the
+// pipelined counterpart of the serial Counts.Cycles.
+func (r Report) Pipelined() event.PipelineStats { return event.Pipeline(r.Stages, nil, nil, 0) }
+
 // PipelinedThroughput returns classifications per second in pipelined
 // steady state, given the NeuroCell cycle time.
 func (r Report) PipelinedThroughput(steps int, cycleSeconds float64) float64 {
@@ -186,16 +183,15 @@ type Chip struct {
 	Opt Options
 
 	sram energy.SRAM
-	// ownerMPE per layer per group: the mPE holding the group's neurons.
-	owner [][]int32
 	// faults holds the installed fault campaign (see faults.go); atomic so
 	// the serving layer can inject/clear while classifications are running.
 	faults atomic.Pointer[faultState]
-	// plans caches the event-engine layer plans (see event.go), built once
-	// on first use; fault campaigns never mutate the mapping, so the cache
-	// holds for the chip's lifetime.
-	plansOnce sync.Once
-	plans     []layerPlan
+	// plans caches the compiled accounting plans of the current mapping
+	// generation (see layerPlans); planMu serializes rebuilds.
+	plans  atomic.Pointer[chipPlans]
+	planMu sync.Mutex
+	// states pools ClassifyEach's per-worker simulation states.
+	states sync.Pool
 }
 
 // New validates and prepares a chip for the mapped network.
@@ -222,21 +218,6 @@ func New(net *snn.Network, m *mapping.Mapping, opt Options) (*Chip, error) {
 		bytes = 1024
 	}
 	c.sram = energy.NewSRAM(bytes)
-	c.owner = make([][]int32, len(m.Layers))
-	for li := range m.Layers {
-		lm := &m.Layers[li]
-		owner := make([]int32, lm.Groups)
-		for i := range owner {
-			owner[i] = -1
-		}
-		for ai := range lm.MCAs {
-			g := lm.MCAs[ai].Group
-			if owner[g] < 0 {
-				owner[g] = int32(lm.MCAs[ai].MPE)
-			}
-		}
-		c.owner[li] = owner
-	}
 	return c, nil
 }
 
@@ -249,9 +230,9 @@ func (c *Chip) Name() string { return "resparc" }
 func (c *Chip) Network() *snn.Network { return c.Net }
 
 // observer accumulates events and energy for the global layer range
-// [lo, hi) during a run. The full chip observes [0, len(layers)); the shard
-// executor charges disjoint sub-ranges (via Accountant) whose reports merge
-// back to the identical totals.
+// [lo, hi) during a run; its per-step kernel is in event.go. The full chip
+// observes [0, len(layers)); the shard executor charges disjoint sub-ranges
+// (via Accountant) whose reports merge back to the identical totals.
 type observer struct {
 	chip        *Chip
 	lo, hi      int // global layer range [lo, hi)
@@ -261,36 +242,25 @@ type observer struct {
 	layerSpikes []int                // per local layer
 	busCycles   int
 	breakdown   CycleBreakdown
-	scratch     [][]int32 // per local layer: active-MCA count per group
 	traceErr    error
-	// ev, when non-nil, selects the event-engine accounting path (event.go).
-	ev *eventState
+
+	plans   *chipPlans
+	scratch []layerScratch  // per local layer
+	token   int32           // stamp of the current (step, layer) visit
+	stages  [][]event.Stage // [step][local layer]; the first nsteps rows are live
+	nsteps  int
 }
 
 func newObserver(c *Chip, lo, hi int) observer {
-	return newObserverOpt(c, lo, hi, false)
-}
-
-func newObserverOpt(c *Chip, lo, hi int, eventEngine bool) observer {
 	n := hi - lo
-	o := observer{
+	return observer{
 		chip: c, lo: lo, hi: hi,
 		layerE:      make([]perf.RESPARCEnergy, n),
 		layerCycles: make([]int, n),
 		layerSpikes: make([]int, n),
-		scratch:     make([][]int32, n),
+		plans:       c.layerPlans(),
+		scratch:     make([]layerScratch, n),
 	}
-	if eventEngine {
-		o.ev = newEventState(c, lo, hi)
-	}
-	return o
-}
-
-func (o *observer) groupScratch(j, groups int) []int32 {
-	if o.scratch[j] == nil {
-		o.scratch[j] = make([]int32, groups)
-	}
-	return o.scratch[j]
 }
 
 // reset clears the accumulated accounting, keeping the scratch allocations,
@@ -309,195 +279,21 @@ func (o *observer) reset() {
 	o.busCycles = 0
 	o.breakdown = CycleBreakdown{}
 	o.traceErr = nil
-	if o.ev != nil {
-		o.ev.reset()
-	}
-}
-
-// ObserveStep implements snn.Observer: it charges one timestep's events.
-// layers holds the spike vectors of the observed range only (local indices);
-// input is the spike vector feeding the range's first layer.
-func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
-	if o.ev != nil {
-		o.observeEvent(step, input, layers)
-		return
-	}
-	c := o.chip
-	p := c.Opt.Params
-	w := c.Opt.PacketWidth
-	ed := c.Opt.EventDriven
-	cur := input
-	for j := 0; j < o.hi-o.lo; j++ {
-		gi := o.lo + j
-		lm := &c.Map.Layers[gi]
-		le := &o.layerE[j]
-		prevCnt := o.cnt
-		prevE := *le
-
-		// ---- Global control: event-flag synchronization (flags are read
-		// eight NeuroCells per access) ----
-		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
-		o.cnt.Cycles += syncCycles
-		o.breakdown.Sync += syncCycles
-
-		// ---- Global bus & SRAM (§3.1.3) ----
-		if c.Map.CrossNC(gi) {
-			zero, total := cur.ZeroPackets(w)
-			sent := total - zero
-			if !ed {
-				sent = total
-				zero = 0
-			}
-			le.Peripherals += float64(total) * p.ZeroCheck
-			// Producer write to SRAM + broadcast read: two bus transactions
-			// and two SRAM accesses per surviving word (layer 0 is loaded by
-			// the host, so only the broadcast read applies).
-			per := 2.0
-			if gi == 0 {
-				per = 1.0
-			}
-			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
-			o.cnt.BusWords += sent
-			o.cnt.BusWordsSuppressed += zero
-			// Broadcast serializes on the bus, several words per cycle.
-			busCycles := (sent + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle
-			o.cnt.Cycles += busCycles
-			o.busCycles += busCycles
-			o.breakdown.Bus += busCycles
+	o.nsteps = 0
+	// Pick up plans recompiled after a remap, dropping scratch sized for
+	// the old ones; the same reallocation re-zeroes stamps on (absurdly
+	// rare) token wraparound.
+	if cp := o.chip.layerPlans(); cp != o.plans || o.token > 1<<30 {
+		o.plans = cp
+		o.token = 0
+		for j := range o.scratch {
+			o.scratch[j] = layerScratch{}
 		}
-
-		// ---- Switch network delivery + MCA activity ----
-		// Spike packets are the width-bit aligned words of the producer
-		// layer's spike vector, zero-checked at the sending switch (§3.2)
-		// and delivered once per target mPE (the mPE's buffers fan a word
-		// out to its resident MCAs). Precompute word occupancy once.
-		nonzeroWord := wordOccupancy(cur, w)
-		delivered := 0
-		maxMux := int32(0)
-		ga := o.groupScratch(j, lm.Groups)
-		for i := range ga {
-			ga[i] = 0
-		}
-		// Per-mPE delivery accounting: MCAs of one mPE are contiguous in
-		// allocation order.
-		// Words are deduped with a set but charged in insertion order: energy
-		// is a float sum, and ranging over the map directly would make the
-		// total depend on Go's randomized map order from run to run.
-		curMPE := -1
-		mpeSeen := map[int]bool{}
-		var mpeWords []int
-		flushMPE := func() {
-			for _, word := range mpeWords {
-				le.Peripherals += p.ZeroCheck
-				if nonzeroWord[word] || !ed {
-					delivered++
-					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
-				} else {
-					o.cnt.PacketsSuppressed++
-				}
-			}
-			mpeWords = mpeWords[:0]
-			for w := range mpeSeen {
-				delete(mpeSeen, w)
-			}
-		}
-		for ai := range lm.MCAs {
-			mca := &lm.MCAs[ai]
-			if mca.MPE != curMPE {
-				flushMPE()
-				curMPE = mca.MPE
-			}
-			rows := 0
-			ins := mca.Inputs
-			lastWord := -1
-			for _, in := range ins {
-				word := int(in) / w
-				if word != lastWord {
-					lastWord = word
-					if !mpeSeen[word] {
-						mpeSeen[word] = true
-						mpeWords = append(mpeWords, word)
-					}
-				}
-				if cur.Get(int(in)) {
-					rows++
-				}
-			}
-
-			active := rows > 0
-			if !ed {
-				active = true
-			}
-			if !active {
-				continue
-			}
-			o.cnt.MCAActivations++
-			o.cnt.RowsDriven += rows
-			le.Peripherals += p.MPEControl
-			// Crossbar: every cross-point on a driven row conducts; used
-			// cells at programmed conductance, idle cells at the GMin pair
-			// (unless the counterfactual column gating is enabled).
-			usedPerRow := 0.0
-			if len(ins) > 0 {
-				usedPerRow = float64(mca.Taps) / float64(len(ins))
-			}
-			idlePerRow := float64(c.Map.LayerSize(gi)) - usedPerRow
-			if p.GateIdleColumns {
-				idlePerRow = 0
-			}
-			le.Crossbar += float64(rows) * (usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac)
-			// Neuron integration of this MCA's columns.
-			o.cnt.Integrations += len(mca.Outputs)
-			le.Neuron += float64(len(mca.Outputs)) * p.NeuronIntegrate
-			if int32(mca.MPE) != c.owner[gi][mca.Group] {
-				o.cnt.ExtTransfers++
-			}
-			if ga[mca.Group]++; ga[mca.Group] > maxMux {
-				maxMux = ga[mca.Group]
-			}
-		}
-		flushMPE()
-		o.cnt.PacketsDelivered += delivered
-		sw := lm.Switches(c.Map.Cfg)
-		deliveryCycles := (delivered + sw - 1) / sw
-		o.cnt.Cycles += deliveryCycles
-		o.breakdown.Delivery += deliveryCycles
-		integrateCycles := int(maxMux) * p.IntegrateCycles
-		o.cnt.Cycles += integrateCycles
-		o.breakdown.Integrate += integrateCycles
-
-		// ---- Fire ----
-		out := layers[j]
-		spikes := out.Count()
-		o.cnt.Spikes += spikes
-		o.layerSpikes[j] += spikes
-		le.Neuron += float64(spikes) * p.NeuronSpike
-		// Every spike is handled by the peripherals: oBUFF write, tBUFF
-		// target lookup, packet assembly.
-		le.Peripherals += float64(spikes) * p.SpikeHandling
-		// Spikes drain through the mPEs' output ports in parallel, one per
-		// mPE per cycle.
-		if spikes > 0 || maxMux > 0 {
-			mpes := lm.MPELast - lm.MPEFirst + 1
-			drainCycles := (spikes + mpes - 1) / mpes
-			if spikes == 0 {
-				drainCycles++ // threshold-check cycle with no spikes
-			}
-			o.cnt.Cycles += drainCycles
-			o.breakdown.Drain += drainCycles
-		}
-		o.layerCycles[j] += o.cnt.Cycles - prevCnt.Cycles
-
-		// Optional trace: per-(step, layer) deltas.
-		if c.Opt.Trace != nil {
-			o.writeTrace(step, gi, cur, out, prevCnt, prevE)
-		}
-		cur = out
 	}
 }
 
 // writeTrace emits one per-(step, layer) trace event from the accounting
-// deltas since the snapshot; shared by the stepped and event paths.
+// deltas since the snapshot.
 func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Counters, prevE perf.RESPARCEnergy) {
 	c := o.chip
 	lm := &c.Map.Layers[gi]
@@ -520,23 +316,15 @@ func (o *observer) writeTrace(step, gi int, cur, out *bitvec.Bits, prevCnt Count
 	}
 }
 
-// report reduces the accumulated accounting to a result/report pair. Under
-// the event engine, Cycles/Latency are the pipelined makespan from the
-// discrete-event simulation of the recorded stage grid; everything else is
-// bit-identical to the stepped accounting.
+// report reduces the accumulated accounting to a result/report pair;
+// Latency is the serial cycle count in seconds.
 func (o *observer) report(predicted, steps int) (perf.Result, Report) {
 	e := perf.SumRESPARC(o.layerE)
-	var stages [][]StageDur
-	var busWait int64
-	if o.ev != nil {
-		stages = o.ev.stages[:o.ev.nsteps]
-		o.cnt.Cycles = int(PipelineMakespan(stages, &busWait))
-	}
 	lat := float64(o.cnt.Cycles) * o.chip.Opt.Params.NCCycle()
 	rep := Report{
 		Energy: e, Latency: lat, Counts: o.cnt, Predicted: predicted,
 		LayerCycles: o.layerCycles, LayerEnergies: o.layerE,
-		LayerSpikes: o.layerSpikes, Stages: stages, BusWait: busWait,
+		LayerSpikes: o.layerSpikes, Stages: o.stages[:o.nsteps],
 		BusCycles: o.busCycles, Breakdown: o.breakdown, TraceError: o.traceErr,
 	}
 	res := perf.Result{
@@ -579,20 +367,12 @@ type Accountant struct {
 	obs observer
 }
 
-// NewAccountant returns an accountant for global layers [lo, hi), using the
-// chip's configured accounting path (Options.EventEngine).
+// NewAccountant returns an accountant for global layers [lo, hi).
 func (c *Chip) NewAccountant(lo, hi int) (*Accountant, error) {
-	return c.NewAccountantOpt(lo, hi, c.Opt.EventEngine)
-}
-
-// NewAccountantOpt is NewAccountant with an explicit accounting-path choice,
-// so callers honoring a per-call sim.Options.EventEngine override (the shard
-// executor) can select the event engine on a chip configured without it.
-func (c *Chip) NewAccountantOpt(lo, hi int, eventEngine bool) (*Accountant, error) {
 	if lo < 0 || hi > len(c.Net.Layers) || lo >= hi {
 		return nil, fmt.Errorf("core: accountant range [%d,%d) of %d layers", lo, hi, len(c.Net.Layers))
 	}
-	return &Accountant{obs: newObserverOpt(c, lo, hi, eventEngine)}, nil
+	return &Accountant{obs: newObserver(c, lo, hi)}, nil
 }
 
 // ObserveStep implements snn.Observer; layers holds the range's spike
@@ -613,20 +393,18 @@ func (a *Accountant) Report(predicted, steps int) (perf.Result, Report) {
 	rep.LayerCycles = append([]int(nil), rep.LayerCycles...)
 	rep.LayerEnergies = append([]perf.RESPARCEnergy(nil), rep.LayerEnergies...)
 	rep.LayerSpikes = append([]int(nil), rep.LayerSpikes...)
-	if rep.Stages != nil {
-		st := make([][]StageDur, len(rep.Stages))
-		for i, row := range rep.Stages {
-			st[i] = append([]StageDur(nil), row...)
-		}
-		rep.Stages = st
+	st := make([][]event.Stage, len(rep.Stages))
+	for i, row := range rep.Stages {
+		st[i] = append([]event.Stage(nil), row...)
 	}
+	rep.Stages = st
 	return res, rep
 }
 
 // classifyOne runs one classification on a caller-owned state (reused
 // across a worker's batch share) under the given per-call options.
 func (c *Chip) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder, opt sim.Options) (perf.Result, Report, int) {
-	obs := newObserverOpt(c, 0, len(c.Net.Layers), c.Opt.EventEngine || opt.EventEngine)
+	obs := newObserver(c, 0, len(c.Net.Layers))
 	if opt.EarlyExit {
 		steps, predicted := sim.EarlyExitRun(st, intensity, enc, c.Opt.Steps, &obs)
 		res, rep := obs.report(predicted, steps)
@@ -656,7 +434,7 @@ func (c *Chip) classifyGroup(bst *snn.BatchState, inputs []tensor.Vec, encs []sn
 	obs := make([]snn.Observer, nb)
 	cobs := make([]*observer, nb)
 	for i := range obs {
-		o := newObserverOpt(c, 0, len(c.Net.Layers), c.Opt.EventEngine || opt.EventEngine)
+		o := newObserver(c, 0, len(c.Net.Layers))
 		cobs[i] = &o
 		obs[i] = &o
 	}
@@ -713,13 +491,27 @@ func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim
 			}
 		})
 	}
-	return sim.Each(inputs, enc, opt, func() sim.Session {
-		st := snn.NewState(c.Net)
+	// Worker states outlive the call in a pool: a run resets its state, and
+	// allocating fresh ones per call would dominate a closed loop's garbage.
+	var mu sync.Mutex
+	var held []*snn.State
+	ress, reps, err := sim.Each(inputs, enc, opt, func() sim.Session {
+		st, _ := c.states.Get().(*snn.State)
+		if st == nil {
+			st = snn.NewState(c.Net)
+		}
+		mu.Lock()
+		held = append(held, st)
+		mu.Unlock()
 		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {
 			res, rep, steps := c.classifyOne(st, in, e, opt)
 			return res, sim.Report{Predicted: rep.Predicted, Steps: steps, Detail: rep}
 		}
 	})
+	for _, st := range held {
+		c.states.Put(st)
+	}
+	return ress, reps, err
 }
 
 // ClassifyBatch implements sim.Backend: it classifies every input and
@@ -749,7 +541,6 @@ func (c *Chip) reduceReports(reps []Report) (perf.Result, Report) {
 		total.Latency += rep.Latency
 		total.Counts = addCounters(total.Counts, rep.Counts)
 		total.BusCycles += rep.BusCycles
-		total.BusWait += rep.BusWait
 		total.Breakdown = addBreakdown(total.Breakdown, rep.Breakdown)
 		if total.LayerCycles == nil {
 			total.LayerCycles = make([]int, len(rep.LayerCycles))
@@ -779,7 +570,6 @@ func (c *Chip) reduceReports(reps []Report) (perf.Result, Report) {
 		Latency:       total.Latency / n,
 		Counts:        total.Counts,
 		BusCycles:     total.BusCycles,
-		BusWait:       total.BusWait,
 		Breakdown:     total.Breakdown,
 		LayerCycles:   total.LayerCycles,
 		LayerEnergies: total.LayerEnergies,
@@ -812,15 +602,6 @@ func batchSparsity(c *Chip, layerSpikes []int, images, steps int) (float64, []fl
 		}
 	}
 	return float64(total) / (float64(images) * float64(steps)), occ
-}
-
-// wordOccupancy returns, per width-bit aligned word of the spike vector,
-// whether it contains at least one spike.
-func wordOccupancy(v *bitvec.Bits, width int) []bool {
-	n := (v.Len() + width - 1) / width
-	out := make([]bool, n)
-	v.ForEachSet(func(i int) { out[i/width] = true })
-	return out
 }
 
 func addBreakdown(a, b CycleBreakdown) CycleBreakdown {

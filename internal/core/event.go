@@ -3,224 +3,109 @@ package core
 import (
 	"resparc/internal/bitvec"
 	"resparc/internal/event"
+	"resparc/internal/mapping"
 )
 
-// This file is the event-engine accounting path (Options.EventEngine): the
-// same transaction-level model as the stepped observer, restructured so its
-// cost scales with spike count instead of timesteps x mapped inputs, and its
-// Cycles/Latency come from a discrete-event pipeline simulation (Fig 7a)
-// instead of serially summing every stage.
+// This file is the chip's accounting kernel: the transaction-level model of
+// §3 charged per (timestep, layer) over the mapping's compiled plans
+// (mapping.LayerMapping.Plan). Its cost scales with spike count rather than
+// timesteps x mapped inputs: one pass over a layer's input spikes stamps
+// packet-word occupancy and scatters each spike to the MCAs it drives (the
+// plan's inverse adjacency), then charges flow run by run — an mPE run's
+// active MCAs in allocation order, then the run's deduped source words in
+// first-encounter order. That fixed order pins every float sum, so energies
+// are reproducible bit for bit across runs, worker counts and shard cuts.
 //
-// Two invariants pin it to the stepped path:
-//
-//  1. Bit-identical energies and counters (except Cycles). Float addition is
-//     not associative, so the event path replays the stepped observer's
-//     exact float-op sequence: per mPE run, first the active MCAs' charges
-//     in allocation order, then the run's word charges in first-encounter
-//     order (the stepped flushMPE interleaving). Per-MCA factors are
-//     precomputed with the very expressions the stepped path evaluates
-//     inline, so each added term is the same float64.
-//
-//  2. The per-phase durations (sync/bus/delivery/integrate/drain) use the
-//     same closed forms; only their composition differs — the stepped path
-//     sums them serially, the event path feeds them to a pipeline DES where
-//     layer stages overlap across timesteps and the shared global bus is a
-//     FIFO resource (bus phases of different stages cannot overlap).
-//
-// The speedup comes from inverting the hot loop: instead of walking every
-// MCA's input list against the spike vector each timestep (and deduping
-// words through a per-step map), a chip-cached inverse adjacency scatters
-// each spike to the MCAs it drives, and word occupancy is stamped during
-// the same single pass over the set bits.
+// Each stage's duration is recorded split by resource class (Report.Stages)
+// and Counts.Cycles is their serial sum. event.Pipeline composes the same
+// grid into the pipelined Fig 7(a) makespan, where layer stages overlap
+// across timesteps and bus phases serialize on the shared global bus (see
+// Report.Pipelined, and internal/shard for the multi-chip pipeline).
 
-// StageDur is the modeled duration of one (timestep, layer) pipeline stage,
-// split by resource class: Sync is the global-control flag synchronization,
-// Bus the shared global-bus occupancy (serializes across all stages), Local
-// the NeuroCell-internal phases (switch delivery, time-multiplexed
-// integration, spike drain) that overlap freely across layers.
-type StageDur struct{ Sync, Bus, Local int32 }
-
-// mcaPlan precomputes one MCA's per-activation constants. The float factors
-// are evaluated with the stepped observer's exact expressions so the charges
-// they produce are bit-identical.
-type mcaPlan struct {
-	factorXbar float64 // crossbar energy per driven row
-	integrateE float64 // neuron integration energy per activation
-	outs       int32   // len(Outputs)
-	group      int32
-	ext        bool // MCA lives outside its group owner's mPE
+// chipPlans is the compiled accounting plan of one mapping generation.
+type chipPlans struct {
+	gen    uint64
+	layers []mapping.LayerPlan
 }
 
-// mpeRun is one contiguous run of same-mPE MCAs in allocation order, with
-// its deduped source-word list (indices into layerPlan.words) — the unit the
-// stepped observer's flushMPE charges per.
-type mpeRun struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
-
-// layerPlan is the chip-cached static structure of one layer's mapping.
-type layerPlan struct {
-	// inToMCA scatters an input bit to the MCAs whose input lists contain it
-	// (with multiplicity: an input wired to k rows of one MCA appears k
-	// times, matching the stepped per-row count).
-	inToMCA [][]int32
-	runs    []mpeRun
-	words   []int32 // concatenated per-run word lists, first-encounter order
-	mcas    []mcaPlan
-	nwords  int // words of the layer's input vector at the chip packet width
-}
-
-// eventPlans builds (once) the per-layer static plans. Fault campaigns never
-// mutate the mapping (they only gate Healthy), so the cache is safe for the
-// chip's lifetime.
-func (c *Chip) eventPlans() []layerPlan {
-	c.plansOnce.Do(func() {
-		p := c.Opt.Params
-		w := c.Opt.PacketWidth
-		plans := make([]layerPlan, len(c.Map.Layers))
-		for li := range c.Map.Layers {
-			lm := &c.Map.Layers[li]
-			pl := &plans[li]
-			insz := lm.Layer.InSize()
-			pl.nwords = (insz + w - 1) / w
-			pl.inToMCA = make([][]int32, insz)
-			pl.mcas = make([]mcaPlan, len(lm.MCAs))
-			curMPE := -1
-			mcaLo, wordLo := int32(0), int32(0)
-			seen := map[int]bool{}
-			for ai := range lm.MCAs {
-				mca := &lm.MCAs[ai]
-				if mca.MPE != curMPE {
-					if ai > 0 {
-						pl.runs = append(pl.runs, mpeRun{mcaLo, int32(ai), wordLo, int32(len(pl.words))})
-						mcaLo, wordLo = int32(ai), int32(len(pl.words))
-						seen = map[int]bool{}
-					}
-					curMPE = mca.MPE
-				}
-				// The stepped observer's inline crossbar/integration math,
-				// verbatim, so the precomputed factors carry identical bits.
-				usedPerRow := 0.0
-				if len(mca.Inputs) > 0 {
-					usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
-				}
-				idlePerRow := float64(c.Map.LayerSize(li)) - usedPerRow
-				if p.GateIdleColumns {
-					idlePerRow = 0
-				}
-				pl.mcas[ai] = mcaPlan{
-					factorXbar: usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac,
-					integrateE: float64(len(mca.Outputs)) * p.NeuronIntegrate,
-					outs:       int32(len(mca.Outputs)),
-					group:      int32(mca.Group),
-					ext:        int32(mca.MPE) != c.owner[li][mca.Group],
-				}
-				lastWord := -1
-				for _, in := range mca.Inputs {
-					pl.inToMCA[in] = append(pl.inToMCA[in], int32(ai))
-					word := int(in) / w
-					if word != lastWord {
-						lastWord = word
-						if !seen[word] {
-							seen[word] = true
-							pl.words = append(pl.words, int32(word))
-						}
-					}
-				}
-			}
-			if len(lm.MCAs) > 0 {
-				pl.runs = append(pl.runs, mpeRun{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(pl.words))})
-			}
-		}
-		c.plans = plans
-	})
-	return c.plans
-}
-
-// eventState is the per-observer scratch of the event accounting path. Row
-// counts and word occupancy are stamp-managed: a cell is valid only if its
-// token matches the current (step, layer) visit, so nothing is cleared
-// between steps.
-type eventState struct {
-	plans   []layerPlan
-	token   int32
-	rows    [][]int32 // per local layer: spiking-row count per MCA
-	rowTok  [][]int32
-	wordTok [][]int32 // per local layer: word-occupancy stamp
-	stages  [][]StageDur
-	nsteps  int
-}
-
-func newEventState(c *Chip, lo, hi int) *eventState {
-	n := hi - lo
-	return &eventState{
-		plans:   c.eventPlans(),
-		rows:    make([][]int32, n),
-		rowTok:  make([][]int32, n),
-		wordTok: make([][]int32, n),
+// layerPlans returns the compiled plans of the chip's mapping, rebuilding
+// them when the mapping's Generation has moved (an in-place RemapFaulty).
+// Fault campaigns only gate Healthy and never touch the mapping.
+func (c *Chip) layerPlans() *chipPlans {
+	gen := c.Map.Generation()
+	if cp := c.plans.Load(); cp != nil && cp.gen == gen {
+		return cp
 	}
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if cp := c.plans.Load(); cp != nil && cp.gen == gen {
+		return cp
+	}
+	cp := &chipPlans{gen: gen, layers: make([]mapping.LayerPlan, len(c.Map.Layers))}
+	for li := range c.Map.Layers {
+		cp.layers[li] = c.Map.Layers[li].Plan(c.Map.LayerSize(li), c.Opt.PacketWidth, c.Opt.Params)
+	}
+	c.plans.Store(cp)
+	return cp
 }
 
-func (ev *eventState) reset() {
-	ev.nsteps = 0
-	// Stamp tokens make clearing unnecessary; re-zero only on (absurdly
-	// rare) wraparound.
-	if ev.token > 1<<30 {
-		ev.token = 0
-		for j := range ev.rowTok {
-			for i := range ev.rowTok[j] {
-				ev.rowTok[j][i] = 0
-			}
-			for i := range ev.wordTok[j] {
-				ev.wordTok[j][i] = 0
-			}
-		}
-	}
+// layerScratch is one layer's per-observer scratch. Row counts and word
+// occupancy are stamp-managed: a cell is valid only if its token matches the
+// current (step, layer) visit, so nothing is cleared between steps.
+type layerScratch struct {
+	groups  []int32 // active-MCA count per output group
+	rows    []int32 // spiking-row count per MCA
+	rowTok  []int32
+	wordTok []int32 // packet-word occupancy stamp
 }
 
-// stageRow returns the (zeroed-by-overwrite) duration row for a step,
-// growing the grid as steps are observed.
-func (ev *eventState) stageRow(step, layers int) []StageDur {
-	for len(ev.stages) <= step {
-		ev.stages = append(ev.stages, make([]StageDur, layers))
+func (o *observer) layerScratch(j int, lm *mapping.LayerMapping, pl *mapping.LayerPlan) *layerScratch {
+	sc := &o.scratch[j]
+	if sc.rows == nil {
+		sc.groups = make([]int32, lm.Groups)
+		sc.rows = make([]int32, len(pl.MCAs))
+		sc.rowTok = make([]int32, len(pl.MCAs))
+		sc.wordTok = make([]int32, pl.NWords)
 	}
-	if step+1 > ev.nsteps {
-		ev.nsteps = step + 1
-	}
-	return ev.stages[step]
+	return sc
 }
 
-func (ev *eventState) layerScratch(j int, pl *layerPlan) (rows, rowTok, wordTok []int32) {
-	if ev.rows[j] == nil {
-		ev.rows[j] = make([]int32, len(pl.mcas))
-		ev.rowTok[j] = make([]int32, len(pl.mcas))
-		ev.wordTok[j] = make([]int32, pl.nwords)
+// stageRow returns the duration row for a step, growing the grid as steps
+// are observed (every entry is overwritten).
+func (o *observer) stageRow(step int) []event.Stage {
+	for len(o.stages) <= step {
+		o.stages = append(o.stages, make([]event.Stage, o.hi-o.lo))
 	}
-	return ev.rows[j], ev.rowTok[j], ev.wordTok[j]
+	if step+1 > o.nsteps {
+		o.nsteps = step + 1
+	}
+	return o.stages[step]
 }
 
-// observeEvent is the event-engine twin of the stepped ObserveStep: one pass
-// over the set bits stamps word occupancy and scatters per-MCA row counts,
-// then charges flow run by run in the stepped float order.
-func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
+// ObserveStep implements snn.Observer: it charges one timestep's events.
+// layers holds the spike vectors of the observed range only (local indices);
+// input is the spike vector feeding the range's first layer.
+func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bits) {
 	c := o.chip
 	p := c.Opt.Params
 	w := c.Opt.PacketWidth
 	ed := c.Opt.EventDriven
-	ev := o.ev
 	cur := input
-	row := ev.stageRow(step, o.hi-o.lo)
+	row := o.stageRow(step)
 	for j := 0; j < o.hi-o.lo; j++ {
 		gi := o.lo + j
 		lm := &c.Map.Layers[gi]
-		pl := &ev.plans[gi]
+		pl := &o.plans.layers[gi]
 		le := &o.layerE[j]
 		prevCnt := o.cnt
 		prevE := *le
 
 		// One pass over the spikes: stamp packet-word occupancy and scatter
 		// each spike to the MCAs it drives.
-		ev.token++
-		tok := ev.token
-		rows, rowTok, wordTok := ev.layerScratch(j, pl)
+		o.token++
+		tok := o.token
+		sc := o.layerScratch(j, lm, pl)
+		rows, rowTok, wordTok := sc.rows, sc.rowTok, sc.wordTok
 		occWords := 0
 		cur.ForEachSet(func(i int) {
 			wd := i / w
@@ -228,7 +113,7 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				wordTok[wd] = tok
 				occWords++
 			}
-			for _, m := range pl.inToMCA[i] {
+			for _, m := range pl.Targets(i) {
 				if rowTok[m] != tok {
 					rowTok[m] = tok
 					rows[m] = 0
@@ -237,7 +122,8 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 			}
 		})
 
-		// ---- Global control: event-flag synchronization ----
+		// ---- Global control: event-flag synchronization (flags are read
+		// eight NeuroCells per access) ----
 		syncCycles := p.SyncCyclesPerNC * ((lm.NCLast - lm.NCFirst + 1 + 7) / 8)
 		o.breakdown.Sync += syncCycles
 
@@ -252,6 +138,9 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				zero = 0
 			}
 			le.Peripherals += float64(total) * p.ZeroCheck
+			// Producer write to SRAM + broadcast read: two bus transactions
+			// and two SRAM accesses per surviving word (layer 0 is loaded by
+			// the host, so only the broadcast read applies).
 			per := 2.0
 			if gi == 0 {
 				per = 1.0
@@ -259,24 +148,27 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 			le.Peripherals += float64(sent) * per * (p.BusWord + c.sram.AccessEnergy())
 			o.cnt.BusWords += sent
 			o.cnt.BusWordsSuppressed += zero
+			// Broadcast serializes on the bus, several words per cycle.
 			busCycles = (sent + p.BusWordsPerCycle - 1) / p.BusWordsPerCycle
 			o.busCycles += busCycles
 			o.breakdown.Bus += busCycles
 		}
 
 		// ---- Switch network delivery + MCA activity ----
-		// Run by run: active MCA charges in allocation order, then the run's
-		// word charges in first-encounter order — the stepped flushMPE
-		// interleaving, term for term.
+		// Spike packets are the width-bit aligned words of the producer
+		// layer's spike vector, zero-checked at the sending switch (§3.2)
+		// and delivered once per target mPE (the mPE's buffers fan a word
+		// out to its resident MCAs). Run by run: the active MCAs' charges in
+		// allocation order, then the run's word charges.
 		delivered := 0
 		maxMux := int32(0)
-		ga := o.groupScratch(j, lm.Groups)
+		ga := sc.groups
 		for i := range ga {
 			ga[i] = 0
 		}
-		for ri := range pl.runs {
-			run := &pl.runs[ri]
-			for mi := run.mcaLo; mi < run.mcaHi; mi++ {
+		for ri := range pl.Runs {
+			run := &pl.Runs[ri]
+			for mi := run.MCALo; mi < run.MCAHi; mi++ {
 				var r int32
 				if rowTok[mi] == tok {
 					r = rows[mi]
@@ -284,23 +176,23 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 				if r == 0 && ed {
 					continue
 				}
-				mp := &pl.mcas[mi]
+				mp := &pl.MCAs[mi]
 				o.cnt.MCAActivations++
 				o.cnt.RowsDriven += int(r)
 				le.Peripherals += p.MPEControl
-				le.Crossbar += float64(r) * mp.factorXbar
-				o.cnt.Integrations += int(mp.outs)
-				le.Neuron += mp.integrateE
-				if mp.ext {
+				le.Crossbar += float64(r) * mp.FactorXbar
+				o.cnt.Integrations += int(mp.Outs)
+				le.Neuron += mp.IntegrateE
+				if mp.Ext {
 					o.cnt.ExtTransfers++
 				}
-				if ga[mp.group]++; ga[mp.group] > maxMux {
-					maxMux = ga[mp.group]
+				if ga[mp.Group]++; ga[mp.Group] > maxMux {
+					maxMux = ga[mp.Group]
 				}
 			}
-			for wi := run.wordLo; wi < run.wordHi; wi++ {
+			for wi := run.WordLo; wi < run.WordHi; wi++ {
 				le.Peripherals += p.ZeroCheck
-				if wordTok[pl.words[wi]] == tok || !ed {
+				if wordTok[pl.Words[wi]] == tok || !ed {
 					delivered++
 					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
 				} else {
@@ -321,7 +213,11 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 		o.cnt.Spikes += spikes
 		o.layerSpikes[j] += spikes
 		le.Neuron += float64(spikes) * p.NeuronSpike
+		// Every spike is handled by the peripherals: oBUFF write, tBUFF
+		// target lookup, packet assembly.
 		le.Peripherals += float64(spikes) * p.SpikeHandling
+		// Spikes drain through the mPEs' output ports in parallel, one per
+		// mPE per cycle.
 		drainCycles := 0
 		if spikes > 0 || maxMux > 0 {
 			mpes := lm.MPELast - lm.MPEFirst + 1
@@ -333,73 +229,14 @@ func (o *observer) observeEvent(step int, input *bitvec.Bits, layers []*bitvec.B
 		}
 
 		local := deliveryCycles + integrateCycles + drainCycles
-		row[j] = StageDur{Sync: int32(syncCycles), Bus: int32(busCycles), Local: int32(local)}
-		o.layerCycles[j] += syncCycles + busCycles + local
+		row[j] = event.Stage{Sync: int32(syncCycles), Bus: int32(busCycles), Local: int32(local)}
+		stage := syncCycles + busCycles + local
+		o.cnt.Cycles += stage
+		o.layerCycles[j] += stage
 
 		if c.Opt.Trace != nil {
 			o.writeTrace(step, gi, cur, out, prevCnt, prevE)
 		}
 		cur = out
 	}
-}
-
-// PipelineMakespan runs the Fig 7(a) pipeline on the event engine: stage
-// (layer j, timestep t) starts once stage (j, t-1) and stage (j-1, t) are
-// both done, holds the shared global bus (a FIFO resource) for its bus
-// phase, and completes after its local phase. Grants follow completion-event
-// order — (tick, layer) — so the makespan is deterministic. stages is
-// indexed [timestep][layer]; busWait, when non-nil, receives the total
-// cycles stages spent queued for the bus.
-func PipelineMakespan(stages [][]StageDur, busWait *int64) int64 {
-	T := len(stages)
-	if T == 0 {
-		return 0
-	}
-	L := len(stages[0])
-	if L == 0 {
-		return 0
-	}
-	var eng event.Engine
-	var bus event.Resource
-	need := make([][]int8, T)
-	for t := range need {
-		need[t] = make([]int8, L)
-		for j := range need[t] {
-			if t > 0 {
-				need[t][j]++
-			}
-			if j > 0 {
-				need[t][j]++
-			}
-		}
-	}
-	var launch func(t, j int)
-	signal := func(t, j int) {
-		if t >= T || j >= L {
-			return
-		}
-		need[t][j]--
-		if need[t][j] <= 0 {
-			launch(t, j)
-		}
-	}
-	launch = func(t, j int) {
-		d := stages[t][j]
-		busAt := eng.Now() + int64(d.Sync)
-		end := busAt + int64(d.Local)
-		if d.Bus > 0 {
-			start := bus.Acquire(busAt, int64(d.Bus))
-			end = start + int64(d.Bus) + int64(d.Local)
-		}
-		eng.Schedule(end, int32(j), func() {
-			signal(t, j+1)
-			signal(t+1, j)
-		})
-	}
-	eng.Schedule(0, 0, func() { launch(0, 0) })
-	makespan := eng.Run()
-	if busWait != nil {
-		*busWait = bus.Wait()
-	}
-	return makespan
 }

@@ -5,114 +5,38 @@ import (
 	"reflect"
 	"testing"
 
+	"resparc/internal/mapping"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
 
-// classifyBoth runs the same (network, input, encoder seed) through the
-// stepped and the event-engine accounting paths and returns both reports.
-func classifyBoth(t *testing.T, net *snn.Network, size, steps int, seed int64) (perfStepped, perfEvent Report, resStepped, resEvent tensor.Vec) {
-	t.Helper()
-	m := mapped(t, net, size)
-	opt := DefaultOptions()
-	opt.Steps = steps
-
-	intensity := tensor.NewVec(net.Input.Size())
-	rng := rand.New(rand.NewSource(seed))
-	for i := range intensity {
-		intensity[i] = rng.Float64()
+// cloneMapping deep-copies a mapping's placements (the network is shared).
+func cloneMapping(m *mapping.Mapping) *mapping.Mapping {
+	cp := &mapping.Mapping{Net: m.Net, Cfg: m.Cfg, MCAs: m.MCAs, MPEs: m.MPEs, NCs: m.NCs,
+		SpareFirst: m.SpareFirst, Spares: m.Spares}
+	for _, lm := range m.Layers {
+		lm.MCAs = append([]mapping.MCA(nil), lm.MCAs...)
+		cp.Layers = append(cp.Layers, lm)
 	}
-
-	chipS, err := New(net, m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, repS := chipS.ClassifyDetailed(intensity, snn.NewPoissonEncoder(0.8, seed))
-
-	opt.EventEngine = true
-	chipE, err := New(net, m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, repE := chipE.ClassifyDetailed(intensity, snn.NewPoissonEncoder(0.8, seed))
-
-	return repS, repE, tensor.Vec{rs.Energy, float64(rs.Steps)}, tensor.Vec{re.Energy, float64(re.Steps)}
+	return cp
 }
 
-// TestEventSteppedBitIdentical is the tentpole invariant: the event-engine
-// accounting path must reproduce the stepped observer's predictions,
-// energies and event counters bit for bit — only Cycles (and the latency
-// derived from it) may differ, and only downward (pipelining overlaps
-// stages; it never adds work).
-func TestEventSteppedBitIdentical(t *testing.T) {
-	nets := map[string]*snn.Network{"mlp": smallMLP(t, 1), "cnn": smallCNN(t, 2)}
-	for name, net := range nets {
-		for _, size := range []int{8, 16, 64} {
-			repS, repE, resS, resE := classifyBoth(t, net, size, 25, 7)
-			if repS.Predicted != repE.Predicted {
-				t.Fatalf("%s/%d: predicted %d (stepped) vs %d (event)", name, size, repS.Predicted, repE.Predicted)
-			}
-			if repS.Energy != repE.Energy {
-				t.Fatalf("%s/%d: energy %+v vs %+v not bit-identical", name, size, repS.Energy, repE.Energy)
-			}
-			if !reflect.DeepEqual(repS.LayerEnergies, repE.LayerEnergies) {
-				t.Fatalf("%s/%d: per-layer energies diverged", name, size)
-			}
-			if !reflect.DeepEqual(resS, resE) {
-				t.Fatalf("%s/%d: result energy/steps diverged: %v vs %v", name, size, resS, resE)
-			}
-			// Counters: everything but Cycles must match exactly.
-			cs, ce := repS.Counts, repE.Counts
-			cs.Cycles, ce.Cycles = 0, 0
-			if cs != ce {
-				t.Fatalf("%s/%d: counters diverged (beyond Cycles): %+v vs %+v", name, size, cs, ce)
-			}
-			if !reflect.DeepEqual(repS.LayerCycles, repE.LayerCycles) {
-				t.Fatalf("%s/%d: per-layer cycle sums diverged: %v vs %v", name, size, repS.LayerCycles, repE.LayerCycles)
-			}
-			if repS.BusCycles != repE.BusCycles || repS.Breakdown != repE.Breakdown {
-				t.Fatalf("%s/%d: phase sums diverged: bus %d vs %d, breakdown %+v vs %+v",
-					name, size, repS.BusCycles, repE.BusCycles, repS.Breakdown, repE.Breakdown)
-			}
-			if !reflect.DeepEqual(repS.LayerSpikes, repE.LayerSpikes) {
-				t.Fatalf("%s/%d: spike counts diverged: %v vs %v", name, size, repS.LayerSpikes, repE.LayerSpikes)
-			}
-			// The pipelined makespan must beat (or match) the serial sum and
-			// respect its structural lower bounds.
-			if repE.Counts.Cycles > repS.Counts.Cycles {
-				t.Fatalf("%s/%d: event cycles %d exceed stepped %d", name, size, repE.Counts.Cycles, repS.Counts.Cycles)
-			}
-			lower := repE.BusCycles
-			for _, lc := range repE.LayerCycles {
-				if lc > lower {
-					lower = lc
-				}
-			}
-			if repE.Counts.Cycles < lower {
-				t.Fatalf("%s/%d: event cycles %d below structural bound %d", name, size, repE.Counts.Cycles, lower)
-			}
-			if repE.Stages == nil || repS.Stages != nil {
-				t.Fatalf("%s/%d: stage grids: event nil=%v stepped nil=%v", name, size, repE.Stages == nil, repS.Stages == nil)
-			}
-		}
-	}
-}
-
-// TestEventEngineViaOptions: the per-call sim.Options toggle selects the
-// event path on a chip constructed without it, and the batch runners return
-// the same pipelined cycles as the serial path.
-func TestEventEngineViaOptions(t *testing.T) {
-	net := smallMLP(t, 4)
-	m := mapped(t, net, 16)
+// TestRemapRebuildsPlans: remapping a live chip's mapping in place (as the
+// serving repair ladder does) must take effect on the next classification —
+// predictions, energies, every counter and the stage grid equal those of a
+// chip built fresh on a copy of the remapped mapping.
+func TestRemapRebuildsPlans(t *testing.T) {
+	net := smallMLP(t, 3)
+	m := mapped(t, net, 8)
 	opt := DefaultOptions()
 	opt.Steps = 20
-	chip, err := New(net, m, opt)
+	live, err := New(net, m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := make([]tensor.Vec, 6)
-	rng := rand.New(rand.NewSource(9))
+	inputs := make([]tensor.Vec, 4)
+	rng := rand.New(rand.NewSource(5))
 	for i := range inputs {
 		inputs[i] = tensor.NewVec(net.Input.Size())
 		for j := range inputs[i] {
@@ -120,52 +44,50 @@ func TestEventEngineViaOptions(t *testing.T) {
 		}
 	}
 	factory := func(i int) snn.Encoder { return snn.NewPoissonEncoder(0.8, int64(i)) }
+	_, before, err := live.ClassifyEach(inputs, factory, sim.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ref, refReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 1})
+	// Move the first MCA of layer 0's first group (its neurons' owner) and
+	// one MCA mid-run to spares: ownership and the per-mPE runs both change.
+	rep, err := m.RemapFaulty([]mapping.MCAHealth{{Layer: 0, Index: 0, Dead: true}, {Layer: 0, Index: 5, Dead: true}},
+		mapping.RemapConfig{SpareMPEs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		got, gotReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: workers, EventEngine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range inputs {
-			rd := refReps[i].Detail.(Report)
-			gd := gotReps[i].Detail.(Report)
-			if gotReps[i].Predicted != refReps[i].Predicted || gd.Energy != rd.Energy {
-				t.Fatalf("workers=%d image %d: prediction/energy diverged from stepped", workers, i)
-			}
-			if gd.Counts.Cycles > rd.Counts.Cycles {
-				t.Fatalf("workers=%d image %d: event cycles %d exceed stepped %d",
-					workers, i, gd.Counts.Cycles, rd.Counts.Cycles)
-			}
-			if got[i].Latency > ref[i].Latency {
-				t.Fatalf("workers=%d image %d: event latency above stepped", workers, i)
-			}
-			if got[i].SpikesPerStep <= 0 || len(got[i].LayerOccupancy) != len(net.Layers) {
-				t.Fatalf("workers=%d image %d: sparsity stats missing: %+v", workers, i, got[i])
-			}
-		}
+	if len(rep.Moves) != 2 {
+		t.Fatalf("remap moved %d allocations, want 2", len(rep.Moves))
 	}
-	// Determinism across repeated event-mode runs.
-	a, aReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 2, EventEngine: true})
+	fresh, err := New(net, cloneMapping(m), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 4, EventEngine: true})
+	gotRes, got, err := live.ClassifyEach(inputs, factory, sim.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantRes, want, err := fresh.ClassifyEach(inputs, factory, sim.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := false
 	for i := range inputs {
-		if !reflect.DeepEqual(a[i], b[i]) || aReps[i].Predicted != bReps[i].Predicted {
-			t.Fatalf("image %d: event-mode results vary across worker counts", i)
+		g, w := got[i].Detail.(Report), want[i].Detail.(Report)
+		if !reflect.DeepEqual(gotRes[i], wantRes[i]) || !reflect.DeepEqual(g, w) {
+			t.Fatalf("image %d: remapped live chip diverges from a fresh chip:\nlive:  %+v\nfresh: %+v", i, g.Counts, w.Counts)
 		}
+		if g.Counts != before[i].Detail.(Report).Counts {
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatal("remap changed no counter; the test exercises nothing")
 	}
 }
 
-// TestSparsityStats: the stepped path records the same spike-sparsity stats
-// as the event path, and they are internally consistent.
+// TestSparsityStats: the spike-sparsity stats are internally consistent
+// with the per-layer spike counts.
 func TestSparsityStats(t *testing.T) {
 	net := smallMLP(t, 5)
 	m := mapped(t, net, 16)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"testing"
 
 	"resparc/internal/bench"
 	"resparc/internal/core"
@@ -45,17 +44,18 @@ func eventChip(cfg Config, b bench.Benchmark) (*core.Chip, []tensor.Vec, error) 
 	return chip, inputs, nil
 }
 
-// FigEvent compares the stepped and the event-engine accounting paths: per
-// benchmark the modeled classification cycles (serial sum vs pipelined
-// makespan), the simulator's own wall-clock per batch, the x{1,2,4} sharded
-// makespans with link backpressure, and the NoC fabric's congestion against
-// the contention-free bound. The modeled rows are pure functions of the seed
-// (merging them header-preservingly keeps BENCH_RESULTS.json byte-identical
-// across same-seed reruns); only the event/walltime rows carry real time.
+// FigEvent compares the two compositions of the chip's recorded stage grid:
+// per benchmark the modeled classification cycles as the serial sum of
+// every stage (Counts.Cycles, the rows labelled "stepped") and as the
+// pipelined Fig 7(a) makespan with shared-bus contention (the "event" rows),
+// the x{1,2,4} sharded makespans with link backpressure, and the NoC
+// fabric's congestion against the contention-free bound. Every row is a
+// pure function of the seed, so merging them header-preservingly keeps
+// BENCH_RESULTS.json byte-identical across same-seed reruns.
 func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	var entries []perf.BenchEntry
-	t := report.NewTable("Event-driven engine (stepped vs event)",
-		"Row", "Stepped", "Event", "Ratio", "Wait", "Spikes/step")
+	t := report.NewTable("Event-driven engine (serial vs pipelined)",
+		"Row", "Serial", "Pipelined", "Ratio", "Wait", "Spikes/step")
 
 	for _, b := range bench.All() {
 		chip, inputs, err := eventChip(cfg, b)
@@ -63,91 +63,81 @@ func FigEvent(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 			return nil, nil, fmtErr("event", err)
 		}
 		n := len(inputs)
+		ncc := chip.Opt.Params.NCCycle()
 
-		// Modeled latency: the same classifications, accounted both ways.
-		// Predictions/energies are bit-identical; only Cycles differ.
-		var cycles [2]int64
-		var wait, spikes [2]float64
-		for mi, evt := range []bool{false, true} {
-			res, srep, err := chip.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers, EventEngine: evt})
-			if err != nil {
-				return nil, nil, fmtErr("event", err)
-			}
-			rep := srep.Detail.(core.Report)
-			cycles[mi] = int64(rep.Counts.Cycles) / int64(n)
-			wait[mi] = float64(rep.BusWait) / float64(n)
-			spikes[mi] = res.SpikesPerStep
-			label := "stepped"
-			if evt {
-				label = "event"
-			}
+		// Modeled latency: each classification's stage grid summed serially
+		// and composed as the pipeline. Latencies are averaged in image
+		// order, as ClassifyBatch averages them.
+		ress, sreps, err := chip.ClassifyEach(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers})
+		if err != nil {
+			return nil, nil, fmtErr("event", err)
+		}
+		var cycles, wait [2]int64
+		var lat [2]float64
+		chipReps := make([]core.Report, n)
+		for i, sr := range sreps {
+			rep := sr.Detail.(core.Report)
+			chipReps[i] = rep
+			ps := rep.Pipelined()
+			cycles[0] += int64(rep.Counts.Cycles)
+			cycles[1] += ps.Makespan
+			wait[1] += ps.BusWait
+			lat[0] += ress[i].Latency
+			lat[1] += float64(ps.Makespan) * ncc
+		}
+		spikes := spikesPerStep(chipReps, chip.Opt.Steps)
+		for mi, label := range []string{"stepped", "event"} {
+			cycles[mi] /= int64(n)
 			entries = append(entries, perf.BenchEntry{
 				Name:          fmt.Sprintf("event/latency/%s/%s", b.Name, label),
-				NsPerOp:       res.Latency * 1e9,
+				NsPerOp:       lat[mi] / float64(n) * 1e9,
 				Iterations:    n,
 				ModelCycles:   cycles[mi],
-				WaitCycles:    int64(wait[mi]),
-				SpikesPerStep: res.SpikesPerStep,
+				WaitCycles:    int64(float64(wait[mi]) / float64(n)),
+				SpikesPerStep: spikes,
 			})
 		}
 		t.Add("latency/"+b.Name+" (cycles)",
 			fmt.Sprintf("%d", cycles[0]), fmt.Sprintf("%d", cycles[1]),
 			fmt.Sprintf("%.2fx", float64(cycles[0])/float64(cycles[1])),
-			fmt.Sprintf("%.0f", wait[1]), fmt.Sprintf("%.1f", spikes[1]))
-
-		// Simulator wall-clock: the event path's cost scales with spikes, the
-		// stepped path's with timesteps x mapped inputs.
-		var ns [2]float64
-		for mi, evt := range []bool{false, true} {
-			var runErr error
-			res := testing.Benchmark(func(tb *testing.B) {
-				tb.ReportAllocs()
-				for i := 0; i < tb.N; i++ {
-					if _, _, err := chip.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: 1, EventEngine: evt}); err != nil {
-						runErr = err
-						tb.FailNow()
-					}
-				}
-			})
-			if runErr != nil {
-				return nil, nil, fmtErr("event", runErr)
-			}
-			label := "stepped"
-			if evt {
-				label = "event"
-			}
-			e := benchEntry(fmt.Sprintf("event/walltime/%s/%s", b.Name, label), res, n, 1)
-			ns[mi] = e.NsPerOp
-			entries = append(entries, e)
-		}
-		t.Add("walltime/"+b.Name+" (ns/op)",
-			fmt.Sprintf("%.0f", ns[0]), fmt.Sprintf("%.0f", ns[1]),
-			fmt.Sprintf("%.2fx", ns[0]/ns[1]), "", "")
+			fmt.Sprintf("%.0f", float64(wait[1])/float64(n)), fmt.Sprintf("%.1f", spikes))
 
 		// Sharded pipeline: global makespan with serialized, credit-limited
-		// inter-chip links; WaitCycles records the link backpressure.
+		// inter-chip links; the wait column records the link backpressure.
 		for _, sn := range eventShardCounts {
 			multi, err := shard.New(chip, shard.Config{Shards: sn})
 			if err != nil {
 				return nil, nil, fmtErr("event", err)
 			}
-			res, srep, err := multi.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers, EventEngine: true})
+			_, sreps, err := multi.ClassifyEach(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers})
 			if err != nil {
 				return nil, nil, fmtErr("event", err)
 			}
-			rep := srep.Detail.(shard.Report)
-			mk := int64(rep.Chip.Counts.Cycles) / int64(n)
-			lw := int64(rep.Link.WaitCycles) / int64(n)
+			var mk, lw int64
+			var latency float64
+			for i, sr := range sreps {
+				rep := sr.Detail.(shard.Report)
+				chipReps[i] = rep.Chip
+				ps := multi.Pipeline(rep)
+				mk += ps.Makespan
+				for _, w := range ps.LinkWait {
+					lw += w
+				}
+				latency += float64(ps.Makespan) * ncc
+			}
+			mk /= int64(n)
+			lw /= int64(n)
+			chips := len(multi.Ranges())
 			entries = append(entries, perf.BenchEntry{
-				Name:          fmt.Sprintf("event/shard/%s/x%d", b.Name, len(rep.Ranges)),
-				NsPerOp:       res.Latency * 1e9,
+				Name:          fmt.Sprintf("event/shard/%s/x%d", b.Name, chips),
+				NsPerOp:       latency / float64(n) * 1e9,
 				Iterations:    n,
-				Workers:       len(rep.Ranges),
+				Workers:       chips,
 				ModelCycles:   mk,
 				WaitCycles:    lw,
-				SpikesPerStep: res.SpikesPerStep,
+				SpikesPerStep: spikesPerStep(chipReps, chip.Opt.Steps),
 			})
-			t.Add(fmt.Sprintf("shard/%s/x%d (cycles)", b.Name, len(rep.Ranges)),
+			t.Add(fmt.Sprintf("shard/%s/x%d (cycles)", b.Name, chips),
 				"", fmt.Sprintf("%d", mk), "", fmt.Sprintf("%d", lw), "")
 		}
 	}
@@ -207,4 +197,16 @@ func eventNoCRows(seed int64, dim, packets int, t *report.Table) ([]perf.BenchEn
 			fmt.Sprintf("%d", st.WaitCycles), "")
 	}
 	return entries, nil
+}
+
+// spikesPerStep is the batch-average output spikes per timestep of a set of
+// chip reports (the perf.Result SpikesPerStep of their batch aggregate).
+func spikesPerStep(reps []core.Report, steps int) float64 {
+	total := 0
+	for _, rep := range reps {
+		for _, sp := range rep.LayerSpikes {
+			total += sp
+		}
+	}
+	return float64(total) / (float64(len(reps)) * float64(steps))
 }

@@ -13,7 +13,7 @@ import (
 
 // FigMapper measures placement quality: every benchmark is planned by both
 // the greedy and the annealed mapper, each placement is realized into a real
-// chip, and the event-engine evaluation reports measured energy, latency and
+// chip, and the chip's accounting reports measured energy, pipelined latency and
 // their product (EDP — the figure of merit the annealer's weighted objective
 // is a proxy for). Predictions are asserted bit-identical across mappers:
 // placement moves energy and time, never functional results. All rows are
@@ -71,15 +71,18 @@ func FigMapper(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 			if err != nil {
 				return outcome{}, err
 			}
-			ress, reps, err := chip.ClassifyEach(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers, EventEngine: true})
+			ress, reps, err := chip.ClassifyEach(inputs, cfg.encoders(), sim.Options{Workers: cfg.Workers})
 			if err != nil {
 				return outcome{}, err
 			}
+			// Latency is the pipelined makespan: the mapper's cost model
+			// optimizes the pipeline, not the serial stage sum.
+			ncc := chip.Opt.Params.NCCycle()
 			var o outcome
 			o.preds = make([]int, len(reps))
 			for i, r := range ress {
 				o.energy += r.Energy
-				o.latency += r.Latency
+				o.latency += float64(reps[i].Detail.(core.Report).Pipelined().Makespan) * ncc
 				o.preds[i] = reps[i].Predicted
 			}
 			o.energy /= float64(len(ress))

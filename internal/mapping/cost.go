@@ -14,15 +14,16 @@ import (
 )
 
 // This file is the mapper's cost model: a surrogate of the architecture
-// simulator (internal/core's transaction-level accounting and its pipelined
-// event engine, plus internal/shard's link model) that prices a candidate
-// placement — per-layer MCA sizes, NeuroCell alignment, shard cuts — without
-// building a chip. It replays the same closed forms over a probe input's
-// spike rasters: rasters depend only on (input, encoder), never on the
-// mapping, so they are captured once and every candidate is a cheap walk
-// over cached per-(layer, size) packing statistics plus one small
-// discrete-event pipeline simulation. Predictions are untouched by mapping,
-// so the mapper only ever trades modeled energy/latency/traffic.
+// simulator (internal/core's transaction-level accounting, plus
+// internal/shard's link model) that prices a candidate placement — per-layer
+// MCA sizes, NeuroCell alignment, shard cuts — without building a chip. It
+// replays a probe input's spike rasters through the same compiled
+// LayerPlans core's accountant uses and the same closed forms: rasters
+// depend only on (input, encoder), never on the mapping, so they are
+// captured once and every candidate is a cheap walk over cached per-(layer,
+// size) packing statistics plus one run of the shared pipeline simulation
+// (event.Pipeline). Predictions are untouched by mapping, so the mapper only
+// ever trades modeled energy/latency/traffic.
 
 // LinkCost models one chip-to-chip hop for the mapper's traffic term. It
 // mirrors shard.LinkParams field for field (shard sits above core and so
@@ -373,72 +374,23 @@ func newEvaluator(net *snn.Network, cons Constraints) (*evaluator, error) {
 }
 
 // buildStats packs layer li at Sizes[szIdx] (position-free) and replays the
-// probe rasters through the packing, mirroring the event-engine accounting:
-// an inverse input->MCA adjacency scatters each spike, word occupancy is
-// stamped in the same pass, and per-mPE word lists are deduped in
-// first-encounter order — the same structure core's eventPlans caches.
+// probe rasters through the packing's compiled LayerPlan — the same plan
+// core's accountant replays — collecting per-step activity totals. The MCAs
+// take their relative mPEs (MCA i on mPE i/MCAsPerMPE, as every layer starts
+// on a fresh mPE) so the plan's runs match any placed copy of the layer.
 func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	cfg := ev.cons.Hierarchy
 	n := ev.cons.Sizes[szIdx]
-	l := ev.net.Layers[li]
-	lm, err := layerMappingFor(li, l, cfg, n)
+	lm, err := layerMappingFor(li, ev.net.Layers[li], cfg, n)
 	if err != nil {
 		return nil, err
 	}
-	p := ev.cons.Params
+	for i := range lm.MCAs {
+		lm.MCAs[i].MPE = i / cfg.MCAsPerMPE
+	}
 	w := ev.cons.PacketWidth
 	ed := ev.cons.EventDriven
-
-	insz := l.InSize()
-	nwords := (insz + w - 1) / w
-	inToMCA := make([][]int32, insz)
-	factorXbar := make([]float64, len(lm.MCAs))
-	outs := make([]int32, len(lm.MCAs))
-	groupOf := make([]int32, len(lm.MCAs))
-	type run struct{ mcaLo, mcaHi, wordLo, wordHi int32 }
-	var runs []run
-	var words []int32
-	curMPE := -1
-	mcaLo, wordLo := int32(0), int32(0)
-	seen := map[int]bool{}
-	for ai := range lm.MCAs {
-		mca := &lm.MCAs[ai]
-		relMPE := ai / cfg.MCAsPerMPE
-		if relMPE != curMPE {
-			if ai > 0 {
-				runs = append(runs, run{mcaLo, int32(ai), wordLo, int32(len(words))})
-				mcaLo, wordLo = int32(ai), int32(len(words))
-				seen = map[int]bool{}
-			}
-			curMPE = relMPE
-		}
-		usedPerRow := 0.0
-		if len(mca.Inputs) > 0 {
-			usedPerRow = float64(mca.Taps) / float64(len(mca.Inputs))
-		}
-		idlePerRow := float64(n) - usedPerRow
-		if p.GateIdleColumns {
-			idlePerRow = 0
-		}
-		factorXbar[ai] = usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac
-		outs[ai] = int32(len(mca.Outputs))
-		groupOf[ai] = int32(mca.Group)
-		lastWord := -1
-		for _, in := range mca.Inputs {
-			inToMCA[in] = append(inToMCA[in], int32(ai))
-			word := int(in) / w
-			if word != lastWord {
-				lastWord = word
-				if !seen[word] {
-					seen[word] = true
-					words = append(words, int32(word))
-				}
-			}
-		}
-	}
-	if len(lm.MCAs) > 0 {
-		runs = append(runs, run{mcaLo, int32(len(lm.MCAs)), wordLo, int32(len(words))})
-	}
+	pl := lm.Plan(n, w, ev.cons.Params)
 
 	st := &sizeStats{
 		mcas:    len(lm.MCAs),
@@ -447,16 +399,13 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 	}
 	rows := make([]int32, len(lm.MCAs))
 	rowTok := make([]int32, len(lm.MCAs))
-	wordTok := make([]int32, nwords)
+	wordTok := make([]int32, pl.NWords)
 	ga := make([]int32, lm.Groups)
 	for t := 0; t < ev.cons.Steps; t++ {
 		tok := int32(t + 1)
 		ev.in[li][t].ForEachSet(func(i int) {
-			wd := i / w
-			if wordTok[wd] != tok {
-				wordTok[wd] = tok
-			}
-			for _, m := range inToMCA[i] {
+			wordTok[i/w] = tok
+			for _, m := range pl.Targets(i) {
 				if rowTok[m] != tok {
 					rowTok[m] = tok
 					rows[m] = 0
@@ -468,8 +417,8 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		for i := range ga {
 			ga[i] = 0
 		}
-		for _, r := range runs {
-			for mi := r.mcaLo; mi < r.mcaHi; mi++ {
+		for _, r := range pl.Runs {
+			for mi := r.MCALo; mi < r.MCAHi; mi++ {
 				var rr int32
 				if rowTok[mi] == tok {
 					rr = rows[mi]
@@ -479,15 +428,16 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 				}
 				sc.active++
 				sc.rows += rr
-				sc.crossbarE += float64(rr) * factorXbar[mi]
-				sc.integrations += outs[mi]
-				if ga[groupOf[mi]]++; ga[groupOf[mi]] > sc.maxMux {
-					sc.maxMux = ga[groupOf[mi]]
+				mp := &pl.MCAs[mi]
+				sc.crossbarE += float64(rr) * mp.FactorXbar
+				sc.integrations += mp.Outs
+				if ga[mp.Group]++; ga[mp.Group] > sc.maxMux {
+					sc.maxMux = ga[mp.Group]
 				}
 			}
-			for wi := r.wordLo; wi < r.wordHi; wi++ {
+			for wi := r.WordLo; wi < r.WordHi; wi++ {
 				sc.words++
-				if wordTok[words[wi]] == tok || !ed {
+				if wordTok[pl.Words[wi]] == tok || !ed {
 					sc.delivered++
 				}
 			}
@@ -585,10 +535,6 @@ func (ev *evaluator) layerStep(li, t int, szIdx int, cross bool, pos layerPos) (
 	return e, sync, bus, local
 }
 
-// stage is one (timestep, layer) pipeline stage duration, the mapper-local
-// twin of core.StageDur.
-type stage struct{ sync, bus, local int32 }
-
 // evaluate prices a full candidate. The Objective field is left zero — it is
 // relative to a baseline the caller supplies to objective().
 func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
@@ -616,13 +562,13 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 
 	steps := ev.cons.Steps
 	energyJ := 0.0
-	stages := make([][]stage, steps)
+	stages := make([][]event.Stage, steps)
 	for t := 0; t < steps; t++ {
-		stages[t] = make([]stage, L)
+		stages[t] = make([]event.Stage, L)
 		for li := 0; li < L; li++ {
 			e, sync, bus, local := ev.layerStep(li, t, c.size[li], cross[li], pos[li])
 			energyJ += e
-			stages[t][li] = stage{sync, bus, local}
+			stages[t][li] = event.Stage{Sync: sync, Bus: bus, Local: local}
 		}
 	}
 
@@ -647,7 +593,7 @@ func (ev *evaluator) evaluate(c candidate) (CostBreakdown, error) {
 		}
 	}
 
-	makespan := pipelineMakespan(stages, ranges, hops, lp.RecvBuf)
+	makespan := event.Pipeline(stages, c.cuts, hops, lp.RecvBuf).Makespan
 	perNC := ev.cons.Hierarchy.MPEsPerNC
 	return CostBreakdown{
 		EnergyJ:     energyJ + linkE,
@@ -687,105 +633,6 @@ func cutRanges(cuts []int, layers int) [][2]int {
 		lo = c
 	}
 	return append(out, [2]int{lo, layers})
-}
-
-// pipelineMakespan is the mapper's pipeline DES, mirroring the composition
-// core.PipelineMakespan and shard's eventMakespan use: stage (chip s,
-// timestep t, layer j) starts once (s, t-1, j) and (s, t, j-1) are done;
-// each chip's bus phases serialize on that chip's global bus; each hop
-// transfers rasters strictly in timestep order under a bounded receive
-// buffer. stages is indexed [timestep][global layer]; ranges partitions the
-// layers into chips; hops[h][t] is hop h's transfer occupancy for raster t.
-func pipelineMakespan(stages [][]stage, ranges [][2]int, hops [][]int64, recvBuf int) int64 {
-	T := len(stages)
-	if T == 0 {
-		return 0
-	}
-	S := len(ranges)
-	if recvBuf < 1 {
-		recvBuf = 1
-	}
-
-	var eng event.Engine
-	buses := make([]event.Resource, S)
-	need := make([][][]int8, S)
-	for s := 0; s < S; s++ {
-		L := ranges[s][1] - ranges[s][0]
-		need[s] = make([][]int8, T)
-		for t := 0; t < T; t++ {
-			need[s][t] = make([]int8, L)
-			for j := 0; j < L; j++ {
-				if t > 0 {
-					need[s][t][j]++
-				}
-				if j > 0 || s > 0 {
-					need[s][t][j]++
-				}
-			}
-		}
-	}
-
-	readyAt := make([][]int64, S-1)
-	next := make([]int, S-1)
-	busy := make([]bool, S-1)
-	credits := make([]int, S-1)
-	for h := range readyAt {
-		readyAt[h] = make([]int64, T)
-		for t := range readyAt[h] {
-			readyAt[h][t] = -1
-		}
-		credits[h] = recvBuf
-	}
-
-	var launch func(s, t, j int)
-	signal := func(s, t, j int) {
-		if t >= T || j >= len(need[s][t]) {
-			return
-		}
-		need[s][t][j]--
-		if need[s][t][j] <= 0 {
-			launch(s, t, j)
-		}
-	}
-	var trySend func(h int)
-	trySend = func(h int) {
-		t := next[h]
-		if t >= T || busy[h] || readyAt[h][t] < 0 || credits[h] == 0 {
-			return
-		}
-		busy[h] = true
-		credits[h]--
-		eng.Schedule(eng.Now()+hops[h][t], int32(1<<20+h), func() {
-			busy[h] = false
-			next[h]++
-			signal(h+1, t, 0)
-			trySend(h)
-		})
-	}
-	launch = func(s, t, j int) {
-		d := stages[t][ranges[s][0]+j]
-		busAt := eng.Now() + int64(d.sync)
-		end := busAt + int64(d.local)
-		if d.bus > 0 {
-			start := buses[s].Acquire(busAt, int64(d.bus))
-			end = start + int64(d.bus) + int64(d.local)
-		}
-		last := j == len(need[s][t])-1
-		eng.Schedule(end, int32(s<<10+j), func() {
-			if last && s < S-1 {
-				readyAt[s][t] = eng.Now()
-				trySend(s)
-			}
-			if j == 0 && s > 0 {
-				credits[s-1]++
-				trySend(s - 1)
-			}
-			signal(s, t, j+1)
-			signal(s, t+1, j)
-		})
-	}
-	eng.Schedule(0, 0, func() { launch(0, 0, 0) })
-	return eng.Run()
 }
 
 // minimaxCuts cuts the per-layer mPE spans into n contiguous parts

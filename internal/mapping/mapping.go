@@ -15,6 +15,7 @@ package mapping
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"resparc/internal/device"
 	"resparc/internal/snn"
@@ -136,7 +137,14 @@ type Mapping struct {
 	SpareFirst, Spares int
 	// spareCursor is the next unassigned spare slot (slot-major).
 	spareCursor int
+	// gen counts in-place placement rewrites (see Generation).
+	gen atomic.Uint64
 }
+
+// Generation counts the in-place rewrites of the MCAs' placements
+// (RemapFaulty moves); consumers caching compiled plans (LayerMapping.Plan)
+// rebuild when it moves.
+func (m *Mapping) Generation() uint64 { return m.gen.Load() }
 
 // Map places the network onto the hierarchy. Layers are allocated in order;
 // MCAs pack densely into mPEs (4 per mPE) and mPEs into NeuroCells, with

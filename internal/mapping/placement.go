@@ -36,7 +36,7 @@ type LayerPlace struct {
 }
 
 // CostBreakdown is the mapper's modeled cost of a placement: the surrogate
-// model's per-classification energy, pipelined latency (event-engine
+// model's per-classification energy, pipelined latency (event.Pipeline
 // makespan over the probe raster) and inter-chip link traffic, plus the
 // weighted objective the search minimized. All values are modeled on the
 // probe input — they track, but are not identical to, the averages a full

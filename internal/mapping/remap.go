@@ -92,7 +92,8 @@ func (r *RemapReport) String() string {
 // degraded or refuse.
 //
 // The pass mutates the mapping's placements (MPE/NC/Slot of moved MCAs,
-// the spare-region bookkeeping, and the MPEs/NCs totals); performance
+// the spare-region bookkeeping, and the MPEs/NCs totals) and bumps its
+// Generation when anything moved; performance
 // accounting still uses the original per-layer placement ranges, treating
 // spares as co-located — a first-order simplification.
 func (m *Mapping) RemapFaulty(health []MCAHealth, cfg RemapConfig) (*RemapReport, error) {
@@ -162,6 +163,9 @@ func (m *Mapping) RemapFaulty(health []MCAHealth, cfg RemapConfig) (*RemapReport
 		}
 	}
 	rep.SparesUsed = m.spareCursor
+	if len(rep.Moves) > 0 {
+		m.gen.Add(1)
+	}
 	if totalTaps > 0 {
 		rep.EstAccuracyLoss = float64(rep.ResidualBadTaps) / float64(totalTaps)
 		if rep.EstAccuracyLoss > 1 {

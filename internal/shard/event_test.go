@@ -9,86 +9,14 @@ import (
 	"resparc/internal/sim"
 )
 
-// TestShardEventSteppedEquivalence is the satellite acceptance check for the
-// multi-chip event engine: for every benchmark and N in {1, 2, 4},
-// predictions, merged event counters (except Cycles) and chip energies under
-// sim.Options.EventEngine are bit-identical to stepped sharded accounting,
-// and the global makespan respects its structural bounds. Run with -race:
-// the pipeline stages exchange stage grids over channels.
-func TestShardEventSteppedEquivalence(t *testing.T) {
-	for _, b := range bench.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			chip := chipFor(t, b)
-			inputs := benchInputs(t, b, chip.Net, 2)
-			for _, n := range []int{1, 2, 4} {
-				multi, err := New(chip, Config{Shards: n})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sRess, sReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eRess, eReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range inputs {
-					sd := sReps[i].Detail.(Report)
-					ed := eReps[i].Detail.(Report)
-					if sReps[i].Predicted != eReps[i].Predicted {
-						t.Fatalf("x%d image %d: predicted %d (stepped) vs %d (event)",
-							n, i, sReps[i].Predicted, eReps[i].Predicted)
-					}
-					if sd.Chip.Energy != ed.Chip.Energy || sRess[i].Energy != eRess[i].Energy {
-						t.Fatalf("x%d image %d: energies diverged: %+v vs %+v",
-							n, i, sd.Chip.Energy, ed.Chip.Energy)
-					}
-					if !reflect.DeepEqual(sd.Chip.LayerEnergies, ed.Chip.LayerEnergies) {
-						t.Fatalf("x%d image %d: per-layer energies diverged", n, i)
-					}
-					sc, ec := sd.Chip.Counts, ed.Chip.Counts
-					sc.Cycles, ec.Cycles = 0, 0
-					if sc != ec {
-						t.Fatalf("x%d image %d: counters diverged (beyond Cycles):\nstepped: %+v\nevent:   %+v",
-							n, i, sc, ec)
-					}
-					// Link traffic (flits, energy) is flow-control independent.
-					sl, el := sd.Link, ed.Link
-					sl.WaitCycles, el.WaitCycles = 0, 0
-					if sl != el {
-						t.Fatalf("x%d image %d: link accounting diverged: %+v vs %+v", n, i, sl, el)
-					}
-					// The global pipelined makespan must beat the serial sum and
-					// cover every shard's own lower bound.
-					if ed.Chip.Counts.Cycles >= sd.Chip.Counts.Cycles+sd.Link.Cycles {
-						t.Fatalf("x%d image %d: event makespan %d not below serial %d+%d",
-							n, i, ed.Chip.Counts.Cycles, sd.Chip.Counts.Cycles, sd.Link.Cycles)
-					}
-					for s, part := range ed.Shards {
-						if ed.Chip.Counts.Cycles < part.Counts.Cycles {
-							t.Fatalf("x%d image %d: makespan %d below shard %d's own makespan %d",
-								n, i, ed.Chip.Counts.Cycles, s, part.Counts.Cycles)
-						}
-					}
-					if n == 1 && ed.Link.WaitCycles != 0 {
-						t.Fatalf("x1 reports link wait %d with no links", ed.Link.WaitCycles)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestShardEventMatchesSingleChipEvent: with one shard the global DES reduces
-// to the single-chip pipeline simulation — Cycles, BusWait and stage grids
-// must match core's event path exactly.
+// TestShardEventMatchesSingleChipEvent: with one shard the global pipeline
+// reduces to the single-chip pipeline simulation — makespan, bus wait and
+// stage grids must match core's exactly.
 func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
 	inputs := benchInputs(t, b, chip.Net, 2)
-	refRess, refReps, err := chip.ClassifyEach(inputs, factoryFor(7), sim.Options{Workers: 1, EventEngine: true})
+	refRess, refReps, err := chip.ClassifyEach(inputs, factoryFor(7), sim.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +24,7 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ress, reps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
+	ress, reps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +34,8 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 		if got.Chip.Counts != ref.Counts {
 			t.Fatalf("image %d: counters diverged\nsharded x1: %+v\nsingle:     %+v", i, got.Chip.Counts, ref.Counts)
 		}
-		if got.Chip.BusWait != ref.BusWait {
-			t.Fatalf("image %d: bus wait %d vs single-chip %d", i, got.Chip.BusWait, ref.BusWait)
+		if gp, rp := multi.Pipeline(got), ref.Pipelined(); !reflect.DeepEqual(gp, rp) {
+			t.Fatalf("image %d: pipeline %+v vs single-chip %+v", i, gp, rp)
 		}
 		if ress[i].Latency != refRess[i].Latency || ress[i].Energy != refRess[i].Energy {
 			t.Fatalf("image %d: result diverged: %+v vs %+v", i, ress[i], refRess[i])
@@ -118,8 +46,10 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 	}
 }
 
-// TestShardEventDeterministic: event-mode sharded results are a pure function
-// of the inputs — identical across repeated runs and batch-major grouping.
+// TestShardEventDeterministic: sharded results and their pipeline
+// composition are a pure function of the inputs — identical across
+// repeated runs and batch-major grouping — and the pipelined makespan beats
+// the serial chip-plus-link cycles.
 func TestShardEventDeterministic(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
@@ -128,14 +58,18 @@ func TestShardEventDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, aReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
+	a, aReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opt := range []sim.Options{
-		{EventEngine: true},
-		{EventEngine: true, Batch: 2},
-	} {
+	for i := range inputs {
+		ad := aReps[i].Detail.(Report)
+		if mk := multi.Pipeline(ad).Makespan; mk >= int64(ad.Chip.Counts.Cycles+ad.Link.Cycles) {
+			t.Fatalf("image %d: pipelined makespan %d not below serial %d+%d",
+				i, mk, ad.Chip.Counts.Cycles, ad.Link.Cycles)
+		}
+	}
+	for _, opt := range []sim.Options{{}, {Batch: 2}} {
 		g, gReps, err := multi.ClassifyEach(inputs, factoryFor(7), opt)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +80,8 @@ func TestShardEventDeterministic(t *testing.T) {
 			}
 			ad := aReps[i].Detail.(Report)
 			gd := gReps[i].Detail.(Report)
-			if ad.Chip.Counts != gd.Chip.Counts || !reflect.DeepEqual(ad.Hops, gd.Hops) {
+			if ad.Chip.Counts != gd.Chip.Counts || !reflect.DeepEqual(ad.Hops, gd.Hops) ||
+				!reflect.DeepEqual(multi.Pipeline(ad), multi.Pipeline(gd)) {
 				t.Fatalf("opt %+v image %d: accounting varies across runs", opt, i)
 			}
 		}
@@ -160,35 +95,30 @@ func TestShardEventBackpressure(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
 	inputs := benchInputs(t, b, chip.Net, 1)
-	link := DefaultLinkParams(chip.Opt.Params)
-	link.FlitsPerCycle = 1
-	link.RecvBuf = 1
-	multi, err := New(chip, Config{Shards: 2, Link: link})
-	if err != nil {
-		t.Fatal(err)
+	linkWait := func(link LinkParams) int64 {
+		t.Helper()
+		multi, err := New(chip, Config{Shards: 2, Link: link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, reps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return multi.Pipeline(reps[0].Detail.(Report)).LinkWait[0]
 	}
-	_, reps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := reps[0].Detail.(Report)
-	if d.Link.WaitCycles == 0 {
+	narrow := DefaultLinkParams(chip.Opt.Params)
+	narrow.FlitsPerCycle = 1
+	narrow.RecvBuf = 1
+	n := linkWait(narrow)
+	if n == 0 {
 		t.Fatal("narrow link with a one-raster receive buffer shows zero wait")
 	}
 	// A wide, deeply buffered link must wait strictly less.
 	wide := DefaultLinkParams(chip.Opt.Params)
 	wide.FlitsPerCycle = 64
 	wide.RecvBuf = 64
-	multiW, err := New(chip, Config{Shards: 2, Link: wide})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, repsW, err := multiW.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dw := repsW[0].Detail.(Report)
-	if dw.Link.WaitCycles >= d.Link.WaitCycles {
-		t.Fatalf("wide link waits %d >= narrow link %d", dw.Link.WaitCycles, d.Link.WaitCycles)
+	if w := linkWait(wide); w >= n {
+		t.Fatalf("wide link waits %d >= narrow link %d", w, n)
 	}
 }

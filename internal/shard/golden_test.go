@@ -49,14 +49,14 @@ func digestChip(h hash.Hash, rep core.Report) {
 // checkSerial asserts the serial cycle identity of one (full-chip or
 // per-range) report: Counts.Cycles is the phase breakdown's total, the sum
 // of the per-layer cycles, and the sum of every recorded stage duration.
-func checkSerial(t *testing.T, label string, rep core.Report, stages [][]core.StageDur) {
+func checkSerial(t *testing.T, label string, rep core.Report) {
 	t.Helper()
 	sumLayers := 0
 	for _, c := range rep.LayerCycles {
 		sumLayers += c
 	}
 	sumStages := 0
-	for _, row := range stages {
+	for _, row := range rep.Stages {
 		for _, d := range row {
 			sumStages += int(d.Sync) + int(d.Bus) + int(d.Local)
 		}
@@ -79,15 +79,11 @@ func TestGoldenDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, eReps, err := chip.ClassifyEach(inputs, factoryFor(7), sim.Options{Workers: 1, EventEngine: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := range inputs {
 				rep := reps[i].Detail.(core.Report)
-				erep := eReps[i].Detail.(core.Report)
-				checkSerial(t, fmt.Sprintf("chip image %d", i), rep, erep.Stages)
-				makespan, busWait := int64(erep.Counts.Cycles), erep.BusWait
+				checkSerial(t, fmt.Sprintf("chip image %d", i), rep)
+				ps := rep.Pipelined()
+				makespan, busWait := ps.Makespan, ps.BusWait
 				if makespan > int64(rep.Counts.Cycles) {
 					t.Fatalf("image %d: pipelined makespan %d above serial %d", i, makespan, rep.Counts.Cycles)
 				}
@@ -105,21 +101,13 @@ func TestGoldenDigest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, eReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{EventEngine: true})
-				if err != nil {
-					t.Fatal(err)
-				}
 				for i := range inputs {
 					sd := sReps[i].Detail.(Report)
-					ed := eReps[i].Detail.(Report)
 					for s, part := range sd.Shards {
-						checkSerial(t, fmt.Sprintf("x%d image %d shard %d", n, i, s), part, ed.Shards[s].Stages)
+						checkSerial(t, fmt.Sprintf("x%d image %d shard %d", n, i, s), part)
 					}
-					makespan, busWait := int64(ed.Chip.Counts.Cycles), ed.Chip.BusWait
-					linkWait := make([]int64, len(ed.Hops))
-					for hi, hop := range ed.Hops {
-						linkWait[hi] = int64(hop.WaitCycles)
-					}
+					ps := multi.Pipeline(sd)
+					makespan, busWait, linkWait := ps.Makespan, ps.BusWait, ps.LinkWait
 					fmt.Fprintf(h, "x%d ranges=%v\n", n, sd.Ranges)
 					digestFloat(h, sRess[i].Energy, sRess[i].Latency, sd.Interval)
 					digestChip(h, sd.Chip)

@@ -18,7 +18,7 @@ type token struct {
 	raster   []*bitvec.Bits // boundary spikes feeding the next stage
 	parts    []core.Report  // per-shard accounting, filled stage by stage
 	hops     []LinkStats    // per-boundary link accounting
-	hopSteps [][]int64      // per-boundary per-timestep cycles (event engine)
+	hopSteps [][]int64      // per-boundary per-timestep cycles
 }
 
 // ClassifyEach implements sim.Backend with pipeline parallelism: one
@@ -57,7 +57,6 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 		return m.classifyEachGrouped(inputs, enc, opt)
 	}
 	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine || opt.EventEngine
 	ress := make([]perf.Result, len(inputs))
 	reps := make([]sim.Report, len(inputs))
 	// chans[s] connects stage s to stage s+1; small buffers decouple stage
@@ -72,7 +71,7 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 		go func(s int) {
 			defer wg.Done()
 			st := snn.NewState(m.subnets[s])
-			acct, err := m.chip.NewAccountantOpt(m.ranges[s].Lo, m.ranges[s].Hi, evt)
+			acct, err := m.chip.NewAccountant(m.ranges[s].Lo, m.ranges[s].Hi)
 			if err != nil {
 				panic("shard: " + err.Error()) // ranges are validated at New
 			}
@@ -90,7 +89,7 @@ func (m *Multi) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt si
 				rep, run := m.runStage(s, st, acct, intensity, e, tok.raster, out, opt)
 				tok.parts[s] = rep
 				if s < S-1 {
-					tok.hops[s], tok.hopSteps[s] = m.linkCost(out, evt)
+					tok.hops[s], tok.hopSteps[s] = m.linkCost(out)
 					tok.raster = out
 					chans[s] <- tok
 				} else {
@@ -136,7 +135,6 @@ type groupToken struct {
 // accounting are bit-identical to the per-image pipeline for any group size.
 func (m *Multi) classifyEachGrouped(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
 	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine || opt.EventEngine
 	gb := opt.Batch
 	if gb > len(inputs) {
 		gb = len(inputs)
@@ -155,7 +153,7 @@ func (m *Multi) classifyEachGrouped(inputs []tensor.Vec, enc sim.EncoderFactory,
 			bst := snn.NewBatchState(m.subnets[s], gb)
 			accts := make([]*core.Accountant, gb)
 			for i := range accts {
-				a, err := m.chip.NewAccountantOpt(m.ranges[s].Lo, m.ranges[s].Hi, evt)
+				a, err := m.chip.NewAccountant(m.ranges[s].Lo, m.ranges[s].Hi)
 				if err != nil {
 					panic("shard: " + err.Error()) // ranges are validated at New
 				}
@@ -195,7 +193,7 @@ func (m *Multi) classifyEachGrouped(inputs []tensor.Vec, enc sim.EncoderFactory,
 					_, rep := accts[i].Report(runs[i].Prediction, steps)
 					tok.parts[i][s] = rep
 					if s < S-1 {
-						tok.hops[i][s], tok.hopSteps[i][s] = m.linkCost(outs[i], evt)
+						tok.hops[i][s], tok.hopSteps[i][s] = m.linkCost(outs[i])
 					} else {
 						ress[tok.lo+i], reps[tok.lo+i] = m.finish(tok.parts[i], tok.hops[i], tok.hopSteps[i], runs[i].Prediction)
 					}
@@ -261,7 +259,6 @@ func (m *Multi) ClassifyBatch(inputs []tensor.Vec, enc sim.EncoderFactory, opt s
 		total.Counts = addCounters(total.Counts, d.Chip.Counts)
 		total.BusCycles += d.Chip.BusCycles
 		total.Breakdown = addBreakdown(total.Breakdown, d.Chip.Breakdown)
-		total.BusWait += d.Chip.BusWait
 		if total.LayerCycles == nil {
 			total.LayerCycles = make([]int, len(d.Chip.LayerCycles))
 			total.LayerEnergies = make([]perf.RESPARCEnergy, len(d.Chip.LayerEnergies))
@@ -294,7 +291,6 @@ func (m *Multi) ClassifyBatch(inputs []tensor.Vec, enc sim.EncoderFactory, opt s
 		Counts:        total.Counts,
 		BusCycles:     total.BusCycles,
 		Breakdown:     total.Breakdown,
-		BusWait:       total.BusWait,
 		LayerCycles:   total.LayerCycles,
 		LayerEnergies: total.LayerEnergies,
 		LayerSpikes:   total.LayerSpikes,

@@ -24,6 +24,7 @@ import (
 	"resparc/internal/bitvec"
 	"resparc/internal/core"
 	"resparc/internal/energy"
+	"resparc/internal/event"
 	"resparc/internal/packet"
 	"resparc/internal/perf"
 	"resparc/internal/sim"
@@ -47,10 +48,11 @@ type LinkParams struct {
 	FlitsPerCycle int
 	// SyncCycles is the per-timestep handshake overhead of the hop.
 	SyncCycles int
-	// RecvBuf bounds the receiving pad's raster buffer (in timesteps) under
-	// the event engine: the hop holds at most RecvBuf delivered-but-unconsumed
-	// rasters, so a slow downstream shard backpressures the sender (<= 0
-	// selects one slot). Ignored by the stepped closed-form accounting.
+	// RecvBuf bounds the receiving pad's raster buffer (in timesteps) in the
+	// pipelined simulation (Multi.Pipeline): the hop holds at most RecvBuf
+	// delivered-but-unconsumed rasters, so a slow downstream shard
+	// backpressures the sender (<= 0 selects one slot). The serial
+	// accounting ignores it.
 	RecvBuf int
 }
 
@@ -78,10 +80,6 @@ type LinkStats struct {
 	FlitsSuppressed int
 	Cycles          int
 	EnergyJ         float64
-	// WaitCycles is the time rasters sat at the sender pad after being ready
-	// — channel serialization plus receive-buffer backpressure. Only the
-	// event engine models flow control; it is zero under stepped accounting.
-	WaitCycles int
 }
 
 func addLink(a, b LinkStats) LinkStats {
@@ -89,7 +87,6 @@ func addLink(a, b LinkStats) LinkStats {
 	a.FlitsSuppressed += b.FlitsSuppressed
 	a.Cycles += b.Cycles
 	a.EnergyJ += b.EnergyJ
-	a.WaitCycles += b.WaitCycles
 	return a
 }
 
@@ -291,6 +288,10 @@ type Report struct {
 	// Hops is the per-boundary accounting: Hops[s] carries shard s's
 	// boundary spikes to shard s+1.
 	Hops []LinkStats
+	// HopSteps[s][t] is the cycles hop s spends carrying timestep t's
+	// raster — the transfer durations Pipeline serializes. Batch aggregates
+	// carry none.
+	HopSteps [][]int64
 	// Interval is the modeled pipeline initiation interval in seconds per
 	// image: the slowest of the shard stages and the busiest single hop
 	// (each hop is its own point-to-point channel), which bounds the
@@ -308,21 +309,41 @@ func (r Report) ImagesPerSec() float64 {
 	return 1 / r.Interval
 }
 
-// linkCost charges one boundary's raster (all timesteps) to the hop model.
-// When perStep is true (event engine) it additionally returns each
-// timestep's transfer occupancy in cycles — the hop durations the global
-// pipeline DES serializes.
-func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int64) {
+// Pipeline composes one classification's report into the global multi-chip
+// pipeline (event.Pipeline over the shards' concatenated stage grids and the
+// hop transfer durations): stages overlap across timesteps inside each chip,
+// each chip serializes on its own global bus, and each hop is a serialized
+// channel with a RecvBuf-raster receive buffer, so a slow downstream shard
+// backpressures its sender. Makespan is the pipelined counterpart of the
+// serial chip-plus-link cycles; LinkWait[h] is the time rasters waited at
+// hop h's sender pad. With one shard it is the chip's own Report.Pipelined.
+func (m *Multi) Pipeline(r Report) event.PipelineStats {
+	var stages [][]event.Stage
+	for s, part := range r.Shards {
+		for t, row := range part.Stages {
+			if s == 0 {
+				stages = append(stages, nil)
+			}
+			stages[t] = append(stages[t], row...)
+		}
+	}
+	var cuts []int
+	for _, rg := range r.Ranges[1:] {
+		cuts = append(cuts, rg.Lo)
+	}
+	return event.Pipeline(stages, cuts, r.HopSteps, m.cfg.Link.RecvBuf)
+}
+
+// linkCost charges one boundary's raster (all timesteps) to the hop model,
+// returning the totals and each timestep's transfer occupancy in cycles.
+func (m *Multi) linkCost(raster []*bitvec.Bits) (LinkStats, []int64) {
 	lp := m.cfg.Link
 	fpc := lp.FlitsPerCycle
 	if fpc < 1 {
 		fpc = 1
 	}
 	var st LinkStats
-	var steps []int64
-	if perStep {
-		steps = make([]int64, 0, len(raster))
-	}
+	steps := make([]int64, 0, len(raster))
 	for _, bits := range raster {
 		zero, total := bits.ZeroPackets(lp.FlitWidth)
 		sent := total - zero
@@ -331,9 +352,7 @@ func (m *Multi) linkCost(raster []*bitvec.Bits, perStep bool) (LinkStats, []int6
 		st.EnergyJ += float64(total)*lp.ZeroCheck + float64(sent)*lp.FlitEnergy
 		cyc := lp.SyncCycles + (sent+fpc-1)/fpc
 		st.Cycles += cyc
-		if perStep {
-			steps = append(steps, int64(cyc))
-		}
+		steps = append(steps, int64(cyc))
 	}
 	return st, steps
 }
@@ -407,35 +426,18 @@ func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity 
 // finish merges the per-shard reports of one image into the multi-chip
 // result. The chip accounting concatenates in global layer order and reduces
 // through the same perf.SumRESPARC as the single-chip observer, so Chip is
-// bit-identical to a single-chip run; the link cost rides on top of the
-// returned perf.Result.
-//
-// Under the event engine (the parts carry stage grids) the merged Cycles and
-// Latency come from one global pipeline DES over every shard's stages plus
-// the serialized, credit-limited inter-chip hops — link time overlaps
-// computation instead of being added on top, and each hop's WaitCycles
-// records the backpressure it suffered.
+// bit-identical to a single-chip run; the link cost (energy and serial
+// cycles) rides on top of the returned perf.Result.
 func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64, predicted int) (perf.Result, sim.Report) {
 	chip := m.mergeChip(parts)
 	chip.Predicted = predicted
 	ncc := m.chip.Opt.Params.NCCycle()
 	steps := m.chip.Opt.Steps
-	linkSeconds := 0.0
-	if len(parts) > 0 && parts[len(parts)-1].Stages != nil {
-		makespan, lw, busWait := eventMakespan(parts, hopSteps, m.cfg.Link.RecvBuf)
-		for h := range lw {
-			hops[h].WaitCycles = int(lw[h])
-		}
-		chip.Counts.Cycles = int(makespan)
-		chip.BusWait = busWait
-		chip.Latency = float64(makespan) * ncc
-	} else {
-		var cyc int
-		for _, h := range hops {
-			cyc += h.Cycles
-		}
-		linkSeconds = float64(cyc) * ncc
+	var cyc int
+	for _, h := range hops {
+		cyc += h.Cycles
 	}
+	linkSeconds := float64(cyc) * ncc
 	var link LinkStats
 	interval := 0.0
 	for _, h := range hops {
@@ -453,7 +455,7 @@ func (m *Multi) finish(parts []core.Report, hops []LinkStats, hopSteps [][]int64
 	}
 	rep := Report{
 		Ranges: m.Ranges(), Shards: parts, Chip: chip, Link: link, Hops: hops,
-		Interval: interval, Predicted: predicted,
+		HopSteps: hopSteps, Interval: interval, Predicted: predicted,
 	}
 	res := perf.Result{
 		Arch:    m.name,
@@ -530,7 +532,6 @@ func addBreakdown(a, b core.CycleBreakdown) core.CycleBreakdown {
 // sequence (the pipeline only pays off on a stream — see ClassifyEach).
 func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, sim.Report) {
 	S := len(m.ranges)
-	evt := m.chip.Opt.EventEngine
 	parts := make([]core.Report, S)
 	hops := make([]LinkStats, S-1)
 	hopSteps := make([][]int64, S-1)
@@ -548,7 +549,7 @@ func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, si
 		}
 		parts[s], run = m.runStage(s, st, acct, intensity, enc, in, out, sim.Options{})
 		if s < S-1 {
-			hops[s], hopSteps[s] = m.linkCost(out, evt)
+			hops[s], hopSteps[s] = m.linkCost(out)
 		}
 		in = out
 	}

@@ -54,14 +54,6 @@ type Options struct {
 	// runners for any value. <= 1 keeps per-image evaluation; the option is
 	// ignored when Stepped or EarlyExit forces a per-image runner.
 	Batch int
-	// EventEngine selects the event-driven cycle-accounting path on backends
-	// that support it (the RESPARC chip and its sharded executor): per-layer
-	// phase durations are composed by a virtual-time discrete-event engine
-	// (pipeline overlap, shared-bus contention) instead of the stepped serial
-	// sum. Predictions and energies are bit-identical either way; only
-	// Cycles/Latency change. It ors with the backend's construction-time
-	// setting; backends without an event path ignore it.
-	EventEngine bool
 }
 
 // Report is the backend-neutral outcome of one classification (or, for

@@ -34,14 +34,6 @@ type Options struct {
 	Batch int
 }
 
-// BatchOptions is the legacy runner selection of RunBatchOpt.
-//
-// Deprecated: use Options, which folds the worker count in.
-type BatchOptions struct {
-	Stepped   bool
-	BlockSize int
-}
-
 // RunBatch classifies every input across a worker pool and returns the
 // per-image RunResults in input order. Each worker owns one State (reused
 // across its images; each run resets it) and each image gets its own
@@ -136,16 +128,6 @@ func runBatchMajor(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps 
 		run(states[worker], encbufs[worker], g)
 	})
 	return results, nil
-}
-
-// RunBatchOpt is the legacy spelling of RunBatch with the worker count as a
-// positional argument.
-//
-// Deprecated: call RunBatch with Options directly.
-func RunBatchOpt(net *Network, inputs []tensor.Vec, enc EncoderFactory, steps, workers int, opt BatchOptions) ([]RunResult, error) {
-	return RunBatch(net, inputs, enc, steps, Options{
-		Workers: workers, Stepped: opt.Stepped, BlockSize: opt.BlockSize,
-	})
 }
 
 // EvaluateBatch classifies the inputs in parallel and returns accuracy
