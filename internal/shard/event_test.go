@@ -9,6 +9,67 @@ import (
 	"resparc/internal/sim"
 )
 
+// TestShardEventSteppedEquivalence: for every benchmark and N in {1, 2, 4},
+// the merged sharded accounting reproduces the single-chip classification
+// bit for bit — predictions, energies, per-layer energies and every serial
+// counter — and the global event-driven pipeline over the shards' stage
+// grids beats the serial chip-plus-link cycles while covering each shard's
+// own pipelined makespan. Run with -race: shards classify concurrently.
+func TestShardEventSteppedEquivalence(t *testing.T) {
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			chip := chipFor(t, b)
+			inputs := benchInputs(t, b, chip.Net, 2)
+			refRess, refReps, err := chip.ClassifyEach(inputs, factoryFor(7), sim.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 2, 4} {
+				multi, err := New(chip, Config{Shards: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ress, reps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range inputs {
+					ref := refReps[i].Detail.(core.Report)
+					got := reps[i].Detail.(Report)
+					if reps[i].Predicted != refReps[i].Predicted || got.Chip.Predicted != ref.Predicted {
+						t.Fatalf("x%d image %d: predicted %d (sharded) vs %d (single chip)",
+							n, i, reps[i].Predicted, refReps[i].Predicted)
+					}
+					if got.Chip.Energy != ref.Energy || !reflect.DeepEqual(got.Chip.LayerEnergies, ref.LayerEnergies) {
+						t.Fatalf("x%d image %d: energies diverged: %+v vs %+v", n, i, got.Chip.Energy, ref.Energy)
+					}
+					if got.Chip.Counts != ref.Counts {
+						t.Fatalf("x%d image %d: counters diverged:\nsharded: %+v\nsingle:  %+v", n, i, got.Chip.Counts, ref.Counts)
+					}
+					if ress[i].Energy < refRess[i].Energy {
+						t.Fatalf("x%d image %d: sharded energy %v below single chip %v", n, i, ress[i].Energy, refRess[i].Energy)
+					}
+					ps := multi.Pipeline(got)
+					if ps.Makespan >= int64(got.Chip.Counts.Cycles+got.Link.Cycles) {
+						t.Fatalf("x%d image %d: pipelined makespan %d not below serial %d+%d",
+							n, i, ps.Makespan, got.Chip.Counts.Cycles, got.Link.Cycles)
+					}
+					for s, part := range got.Shards {
+						if own := part.Pipelined().Makespan; ps.Makespan < own {
+							t.Fatalf("x%d image %d: makespan %d below shard %d's own makespan %d",
+								n, i, ps.Makespan, s, own)
+						}
+					}
+					if len(ps.LinkWait) != n-1 {
+						t.Fatalf("x%d image %d: %d link-wait entries for %d hops", n, i, len(ps.LinkWait), n-1)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestShardEventMatchesSingleChipEvent: with one shard the global pipeline
 // reduces to the single-chip pipeline simulation — makespan, bus wait and
 // stage grids must match core's exactly.
