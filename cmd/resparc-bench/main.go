@@ -4,8 +4,8 @@
 // Usage:
 //
 //	resparc-bench [-fig all|8|9|10|11|12|13|14a|14b|ablations|checklist|bench|shard|fleet|event|mapper]
-//	              [-quick] [-out FILE] [-workers N] [-batch B] [-json FILE]
-//	              [-blocked=false] [-check] [-cpuprofile FILE] [-memprofile FILE]
+//	              [-quick] [-out FILE] [-workers N] [-json FILE]
+//	              [-check] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -fig bench measures the hot evaluation paths (functional SNN evaluator
 // and chip simulation, serial vs parallel) and writes the machine-readable
@@ -37,9 +37,6 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation worker-pool size (<= 0: one per CPU); results are identical for any value")
 	jsonPath := flag.String("json", "BENCH_RESULTS.json", "where -fig bench writes its machine-readable results")
 	faultJSON := flag.String("faultjson", "FAULT_RESULTS.json", "where -fig faults and -fig lifetime merge their machine-readable results")
-	blocked := flag.Bool("blocked", true, "use the blocked layer-major SNN runner (bit-identical; -blocked=false selects the step-major reference)")
-	blockSize := flag.Int("blocksize", 0, "temporal block length of the blocked runner (<= 0: snn.DefaultBlockSize)")
-	batch := flag.Int("batch", 0, "batch-major group size inside the simulators (<= 1: per-image evaluation; bit-identical)")
 	check := flag.Bool("check", false, "with -fig bench: exit non-zero when a benchmark regresses more than 10% vs its previous entry")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -72,9 +69,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Stepped = !*blocked
-	cfg.BlockSize = *blockSize
-	cfg.Batch = *batch
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -427,8 +421,6 @@ func main() {
 		// shared flags.
 		fc.Seed = *seed
 		fc.Workers = *workers
-		fc.Stepped = !*blocked
-		fc.BlockSize = *blockSize
 		r, t, err := experiments.FigFaults(fc)
 		if err != nil {
 			log.Fatalf("faults: %v", err)
@@ -450,8 +442,6 @@ func main() {
 		}
 		lc.Seed = *seed
 		lc.Workers = *workers
-		lc.Stepped = !*blocked
-		lc.BlockSize = *blockSize
 		r, t, err := experiments.FigLifetime(lc)
 		if err != nil {
 			log.Fatalf("lifetime: %v", err)

@@ -3,7 +3,7 @@ package bitvec
 import "fmt"
 
 // Raster is a batch of same-length bit vectors packed into one backing
-// array — the structure-of-arrays spike raster of the batch-major runner.
+// array — a structure-of-arrays spike raster.
 // Image i's bits occupy a fixed word stride starting at word i*Stride, and
 // Image returns a *Bits view aliasing that window, so every single-image
 // kernel (AppendSet, AppendSetRange, Load8, ...) consumes raster rows

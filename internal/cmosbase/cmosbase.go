@@ -39,13 +39,6 @@ type Options struct {
 	EventDriven bool
 	// Steps is the number of SNN timesteps per classification.
 	Steps int
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (see snn.RunBlocked); both produce
-	// bit-identical rasters and counters.
-	Stepped bool
-	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
-	BlockSize int
 }
 
 // DefaultOptions returns the paper's baseline configuration.
@@ -260,16 +253,7 @@ func (b *Baseline) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Enco
 		res.Steps = steps
 		return res, rep, steps
 	}
-	var run snn.RunResult
-	if b.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, b.Opt.Steps, obs)
-	} else {
-		bs := b.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		run = st.RunBlockedK(intensity, enc, b.Opt.Steps, bs, obs)
-	}
+	run := st.RunBlocked(intensity, enc, b.Opt.Steps, obs)
 	res, rep := b.finish(obs.cnt, run.Prediction)
 	rep.LayerCycles = obs.layerCycles
 	return res, rep, b.Opt.Steps
@@ -295,51 +279,12 @@ func (b *Baseline) finish(cnt Counters, predicted int) (perf.Result, Report) {
 	return res, rep
 }
 
-// classifyGroup runs one contiguous group of images batch-major on a
-// caller-owned batch state, one observer per image. The batch runner hands
-// each observer exactly the per-step rasters the per-image runner produces,
-// so counters, energies and predictions match classifyOne bit for bit.
-func (b *Baseline) classifyGroup(bst *snn.BatchState, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options) ([]perf.Result, []sim.Report) {
-	nb := len(inputs)
-	obs := make([]snn.Observer, nb)
-	cobs := make([]*observer, nb)
-	for i := range obs {
-		o := &observer{b: b}
-		cobs[i] = o
-		obs[i] = o
-	}
-	bs := b.Opt.BlockSize
-	if opt.BlockSize > 0 {
-		bs = opt.BlockSize
-	}
-	runs := bst.RunBlocked(inputs, encs, b.Opt.Steps, bs, obs)
-	ress := make([]perf.Result, nb)
-	reps := make([]sim.Report, nb)
-	for i := range runs {
-		res, rep := b.finish(cobs[i].cnt, runs[i].Prediction)
-		rep.LayerCycles = cobs[i].layerCycles
-		ress[i] = res
-		reps[i] = sim.Report{Predicted: rep.Predicted, Steps: b.Opt.Steps, Detail: rep}
-	}
-	return ress, reps
-}
-
 // ClassifyEach implements sim.Backend: per-image classification across the
 // shared worker pool via the one fan-out in sim.Each. Each worker owns one
 // simulation state, each sample gets its own encoder, and image i's outcome
 // depends only on (input[i], enc(i)), so results are bit-identical for any
-// worker count. Options.Batch > 1 routes contiguous groups through the
-// batch-major runner (sim.EachGrouped) instead; grouping never changes
-// results.
+// worker count.
 func (b *Baseline) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
-	if opt.Batch > 1 && !opt.Stepped && !b.Opt.Stepped && !opt.EarlyExit {
-		return sim.EachGrouped(inputs, enc, opt, func(batch int) sim.GroupSession {
-			bst := snn.NewBatchState(b.Net, batch)
-			return func(ins []tensor.Vec, encs []snn.Encoder, _ int) ([]perf.Result, []sim.Report) {
-				return b.classifyGroup(bst, ins, encs, opt)
-			}
-		})
-	}
 	return sim.Each(inputs, enc, opt, func() sim.Session {
 		st := snn.NewState(b.Net)
 		return func(in tensor.Vec, e snn.Encoder) (perf.Result, sim.Report) {

@@ -54,14 +54,6 @@ type Options struct {
 	// Trace, when non-nil, receives one event per (timestep, layer) — see
 	// internal/trace. Classification results are unaffected.
 	Trace *trace.Writer
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (see snn.RunBlocked). Both are
-	// bit-identical — predictions, spike rasters and therefore every event
-	// counter match — so this is purely a performance escape hatch.
-	Stepped bool
-	// BlockSize overrides the temporal block length of the blocked runner
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
-	BlockSize int
 }
 
 // DefaultOptions returns the paper's evaluation configuration.
@@ -410,47 +402,9 @@ func (c *Chip) classifyOne(st *snn.State, intensity tensor.Vec, enc snn.Encoder,
 		res, rep := obs.report(predicted, steps)
 		return res, rep, steps
 	}
-	var run snn.RunResult
-	if c.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, c.Opt.Steps, &obs)
-	} else {
-		bs := c.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		run = st.RunBlockedK(intensity, enc, c.Opt.Steps, bs, &obs)
-	}
+	run := st.RunBlocked(intensity, enc, c.Opt.Steps, &obs)
 	res, rep := obs.report(run.Prediction, c.Opt.Steps)
 	return res, rep, c.Opt.Steps
-}
-
-// classifyGroup runs one contiguous group of images batch-major on a
-// caller-owned batch state, with one observer per image. The observers see
-// exactly the per-step rasters the per-image runner produces (the batch
-// runner is bit-identical per image), so accounting, energies and
-// predictions match classifyOne bit for bit.
-func (c *Chip) classifyGroup(bst *snn.BatchState, inputs []tensor.Vec, encs []snn.Encoder, opt sim.Options) ([]perf.Result, []sim.Report) {
-	nb := len(inputs)
-	obs := make([]snn.Observer, nb)
-	cobs := make([]*observer, nb)
-	for i := range obs {
-		o := newObserver(c, 0, len(c.Net.Layers))
-		cobs[i] = &o
-		obs[i] = &o
-	}
-	bs := c.Opt.BlockSize
-	if opt.BlockSize > 0 {
-		bs = opt.BlockSize
-	}
-	runs := bst.RunBlocked(inputs, encs, c.Opt.Steps, bs, obs)
-	ress := make([]perf.Result, nb)
-	reps := make([]sim.Report, nb)
-	for i := range runs {
-		res, rep := cobs[i].report(runs[i].Prediction, c.Opt.Steps)
-		ress[i] = res
-		reps[i] = sim.Report{Predicted: rep.Predicted, Steps: c.Opt.Steps, Detail: rep}
-	}
-	return ress, reps
 }
 
 // Classify implements sim.Backend: one classification with the chip's
@@ -472,24 +426,14 @@ func (c *Chip) ClassifyDetailed(intensity tensor.Vec, enc snn.Encoder) (perf.Res
 // shared worker pool (internal/parallel) via the one fan-out in sim.Each.
 // Each worker owns one simulation state, each sample gets its own encoder,
 // and image i's outcome depends only on (input[i], enc(i)), so results are
-// bit-identical for any worker count. Options.Batch > 1 routes contiguous
-// groups through the batch-major runner (sim.EachGrouped) instead; grouping
-// never changes results. Tracing is not supported (the trace writer is not
-// concurrency-safe).
+// bit-identical for any worker count. Tracing is not supported (the trace
+// writer is not concurrency-safe).
 func (c *Chip) ClassifyEach(inputs []tensor.Vec, enc sim.EncoderFactory, opt sim.Options) ([]perf.Result, []sim.Report, error) {
 	if c.Opt.Trace != nil {
 		return nil, nil, fmt.Errorf("core: tracing is not supported with batched classification")
 	}
 	if err := c.Healthy(); err != nil {
 		return nil, nil, err
-	}
-	if opt.Batch > 1 && !opt.Stepped && !c.Opt.Stepped && !opt.EarlyExit {
-		return sim.EachGrouped(inputs, enc, opt, func(batch int) sim.GroupSession {
-			bst := snn.NewBatchState(c.Net, batch)
-			return func(ins []tensor.Vec, encs []snn.Encoder, _ int) ([]perf.Result, []sim.Report) {
-				return c.classifyGroup(bst, ins, encs, opt)
-			}
-		})
 	}
 	// Worker states outlive the call in a pool: a run resets its state, and
 	// allocating fresh ones per call would dominate a closed loop's garbage.

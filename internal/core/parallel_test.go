@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
@@ -207,10 +208,11 @@ func TestClassifyEachMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// Options.Batch routes ClassifyEach through the batch-major runner; every
-// (batch, workers) combination must stay bit-identical to the per-image
-// serial reference — results, predictions, counters, per-layer accounting —
-// on both the MLP and the conv+pool CNN fixture.
+// Image i's outcome depends only on (inputs[i], enc(i)), never on how the
+// images are grouped into ClassifyEach calls: every (group size, workers)
+// combination must stay bit-identical to the serial whole-batch reference —
+// results, predictions, counters, per-layer accounting — on both the MLP
+// and the conv+pool CNN fixture.
 func TestClassifyEachBatchMajorEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -235,10 +237,7 @@ func TestClassifyEachBatchMajorEquivalence(t *testing.T) {
 			}
 			for _, batch := range []int{2, 3, 8} {
 				for _, workers := range []int{1, 3} {
-					got, gotReps, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: workers, Batch: batch})
-					if err != nil {
-						t.Fatal(err)
-					}
+					got, gotReps := classifyGrouped(t, chip, inputs, factory, batch, workers)
 					for i := range inputs {
 						if !reflect.DeepEqual(got[i], ref[i]) {
 							t.Fatalf("batch=%d workers=%d image %d: result %+v, want %+v",
@@ -257,17 +256,6 @@ func TestClassifyEachBatchMajorEquivalence(t *testing.T) {
 							}
 						}
 					}
-				}
-			}
-			// Stepped forces the per-image reference path; Batch must be a
-			// silent no-op there, not an error.
-			st, _, err := chip.ClassifyEach(inputs, factory, sim.Options{Workers: 1, Stepped: true, Batch: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range inputs {
-				if !reflect.DeepEqual(st[i], ref[i]) {
-					t.Fatalf("stepped+batch image %d diverged", i)
 				}
 			}
 		})
@@ -315,4 +303,23 @@ func TestClassifyBatchAggregateShapeUnified(t *testing.T) {
 			t.Fatalf("aggregate breakdown %d != cycles %d", rep.Breakdown.Total(), rep.Counts.Cycles)
 		}
 	}
+}
+
+// classifyGrouped classifies inputs in contiguous groups of up to batch
+// images, one ClassifyEach call per group with the encoder indices offset
+// to the group's start, and returns the per-image outcomes in input order.
+func classifyGrouped(t *testing.T, bk sim.Backend, inputs []tensor.Vec, enc sim.EncoderFactory, batch, workers int) ([]perf.Result, []sim.Report) {
+	t.Helper()
+	var ress []perf.Result
+	var reps []sim.Report
+	for lo := 0; lo < len(inputs); lo += batch {
+		hi := min(lo+batch, len(inputs))
+		got, gotReps, err := bk.ClassifyEach(inputs[lo:hi], func(i int) snn.Encoder { return enc(lo + i) }, sim.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ress = append(ress, got...)
+		reps = append(reps, gotReps...)
+	}
+	return ress, reps
 }

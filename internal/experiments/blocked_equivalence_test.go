@@ -5,51 +5,60 @@ import (
 	"testing"
 
 	"resparc/internal/bench"
+	"resparc/internal/bitvec"
+	"resparc/internal/snn"
 )
 
-// The blocked layer-major runner must be a pure performance change: on every
-// Fig 10 benchmark, both architecture simulators must produce the same
-// predictions, the same energy/latency results and bit-identical event
-// counters whether the functional simulation runs step-major or blocked.
-func TestBlockedMatchesSteppedOnFig10Benchmarks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every Fig 10 benchmark twice")
+// rasterCapture records every observed timestep as spike-index lists: the
+// input raster and each layer's output raster.
+type rasterCapture struct {
+	input  [][]int32
+	layers [][][]int32
+}
+
+func (c *rasterCapture) ObserveStep(_ int, input *bitvec.Bits, layers []*bitvec.Bits) {
+	c.input = append(c.input, input.AppendSet(nil))
+	step := make([][]int32, len(layers))
+	for li, l := range layers {
+		step[li] = l.AppendSet(nil)
 	}
+	c.layers = append(c.layers, step)
+}
+
+// The blocked layer-major runner must be a pure performance change: on every
+// Fig 10 benchmark it must return the same RunResult as the step-major
+// reference (State.RunObserved) and hand its observer bit-identical
+// per-step rasters. Every architecture accountant is a pure function of that
+// raster, so this pins the chip and CMOS numbers of both runners at once
+// (TestGoldenDigest in internal/shard pins the chip numbers themselves).
+func TestBlockedMatchesSteppedOnFig10Benchmarks(t *testing.T) {
 	cfg := testConfig()
-	stepped := cfg
-	stepped.Stepped = true
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			bp, err := RunPair(b, cfg.MCASize, cfg)
+			net, err := b.Build(cfg.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp, err := RunPair(b, cfg.MCASize, stepped)
+			inputs, err := inputsFor(b, net, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bp.RRep.Predicted != sp.RRep.Predicted {
-				t.Errorf("RESPARC prediction %d (blocked) vs %d (stepped)",
-					bp.RRep.Predicted, sp.RRep.Predicted)
-			}
-			if bp.CRep.Predicted != sp.CRep.Predicted {
-				t.Errorf("CMOS prediction %d (blocked) vs %d (stepped)",
-					bp.CRep.Predicted, sp.CRep.Predicted)
-			}
-			if !reflect.DeepEqual(bp.RRep.Counts, sp.RRep.Counts) {
-				t.Errorf("RESPARC counters diverge:\nblocked %+v\nstepped %+v",
-					bp.RRep.Counts, sp.RRep.Counts)
-			}
-			if !reflect.DeepEqual(bp.CRep.Counts, sp.CRep.Counts) {
-				t.Errorf("CMOS counters diverge:\nblocked %+v\nstepped %+v",
-					bp.CRep.Counts, sp.CRep.Counts)
-			}
-			if bp.RESPARC.Energy != sp.RESPARC.Energy || bp.RESPARC.Latency != sp.RESPARC.Latency {
-				t.Errorf("RESPARC result diverges: %+v vs %+v", bp.RESPARC, sp.RESPARC)
-			}
-			if bp.CMOS.Energy != sp.CMOS.Energy || bp.CMOS.Latency != sp.CMOS.Latency {
-				t.Errorf("CMOS result diverges: %+v vs %+v", bp.CMOS, sp.CMOS)
+			enc := cfg.encoders()
+			stepped, blocked := snn.NewState(net), snn.NewState(net)
+			for i, in := range inputs {
+				var sCap, bCap rasterCapture
+				sr := stepped.RunObserved(in, enc(i), cfg.Steps, &sCap)
+				br := blocked.RunBlocked(in, enc(i), cfg.Steps, &bCap)
+				if !reflect.DeepEqual(sr, br) {
+					t.Fatalf("image %d: RunResult diverges:\nstepped %+v\nblocked %+v", i, sr, br)
+				}
+				if len(sCap.input) != cfg.Steps || len(bCap.input) != cfg.Steps {
+					t.Fatalf("image %d: observed %d/%d steps, want %d", i, len(sCap.input), len(bCap.input), cfg.Steps)
+				}
+				if !reflect.DeepEqual(sCap, bCap) {
+					t.Fatalf("image %d: per-step rasters diverge between the stepped and blocked runners", i)
+				}
 			}
 		})
 	}

@@ -42,21 +42,6 @@ type Config struct {
 	Workers int
 	// Params is the energy/timing calibration.
 	Params energy.Params
-	// Stepped forces the step-major functional runner in every simulator
-	// instead of the default blocked layer-major one. Results are
-	// bit-identical either way (see snn.RunBlocked); the toggle exists for
-	// performance comparison and as an escape hatch.
-	Stepped bool
-	// BlockSize overrides the blocked runner's temporal block length
-	// (<= 0 selects snn.DefaultBlockSize). Ignored when Stepped is set.
-	BlockSize int
-	// Batch is the batch-major group size: each driver's image batch is cut
-	// into contiguous groups of up to Batch images integrated together by
-	// one network instance (<= 1: per-image evaluation). Results are
-	// bit-identical either way (see snn.BatchState); the knob trades state
-	// footprint for weight-traffic amortization. Ignored when Stepped is
-	// set.
-	Batch int
 	// Tech is the memristive technology (must allow the largest swept MCA).
 	Tech device.Technology
 }
@@ -108,11 +93,9 @@ func (c Config) encoders() func(sample int) snn.Encoder {
 }
 
 // simOptions translates the experiment configuration to the shared batch
-// options of the sim.Backend entry points. Stepped/BlockSize are baked into
-// each backend at construction; the worker count and batch-major group size
-// are per-call.
+// options of the sim.Backend entry points.
 func (c Config) simOptions() sim.Options {
-	return sim.Options{Workers: c.Workers, Batch: c.Batch}
+	return sim.Options{Workers: c.Workers}
 }
 
 // Pair is one benchmark evaluated on both architectures.
@@ -152,8 +135,6 @@ func runPairOn(net *snn.Network, b bench.Benchmark, size int, cfg Config) (Pair,
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
-	copt.BlockSize = cfg.BlockSize
 	chip, err := core.New(net, m, copt)
 	if err != nil {
 		return Pair{}, err
@@ -171,8 +152,6 @@ func runPairOn(net *snn.Network, b bench.Benchmark, size int, cfg Config) (Pair,
 	bopt := cmosbase.DefaultOptions()
 	bopt.Params = cfg.Params
 	bopt.Steps = cfg.Steps
-	bopt.Stepped = cfg.Stepped
-	bopt.BlockSize = cfg.BlockSize
 	base, err := cmosbase.New(net, bopt)
 	if err != nil {
 		return Pair{}, err
@@ -203,8 +182,6 @@ func RunRESPARC(b bench.Benchmark, size int, cfg Config, eventDriven bool, packe
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
-	copt.BlockSize = cfg.BlockSize
 	copt.EventDriven = eventDriven
 	if packetWidth > 0 {
 		copt.PacketWidth = packetWidth

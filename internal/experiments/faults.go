@@ -202,7 +202,7 @@ func runFaultBench(b bench.Benchmark, cfg FaultsConfig, res *FaultsResult) error
 	if err != nil {
 		return err
 	}
-	ref, err := snn.RunBatch(cleanNet, inputs, enc, cfg.Steps, snn.Options{Workers: cfg.Workers})
+	ref, err := snn.RunBatch(cleanNet, inputs, enc, cfg.Steps, cfg.Workers)
 	if err != nil {
 		return err
 	}
@@ -266,7 +266,7 @@ func runFaultPoint(b bench.Benchmark, net *snn.Network, camp fault.Campaign, age
 	if err != nil {
 		return FaultPoint{}, err
 	}
-	got, err := snn.RunBatch(fnet, inputs, enc, cfg.Steps, snn.Options{Workers: cfg.Workers})
+	got, err := snn.RunBatch(fnet, inputs, enc, cfg.Steps, cfg.Workers)
 	if err != nil {
 		return FaultPoint{}, err
 	}

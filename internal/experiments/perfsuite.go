@@ -22,18 +22,19 @@ import (
 // evaluator and the full RESPARC chip simulation, each at one worker
 // (the serial reference) and at the configured pool size, so the JSON
 // records both the single-thread cost and the parallel scaling of
-// regenerating the paper's figures.
+// regenerating the paper's figures. A parallel row is only emitted when the
+// clamped pool has at least two workers; otherwise it would be a second
+// serial measurement under another name.
 func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	var entries []perf.BenchEntry
 
-	addEval := func(name string, net *snn.Network, inputs []tensor.Vec, workers int, label string, opt snn.Options) error {
+	addEval := func(name string, net *snn.Network, inputs []tensor.Vec, workers int, label string) error {
 		enc := cfg.encoders()
-		opt.Workers = workers
 		var runErr error
 		res := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, err := snn.RunBatch(net, inputs, enc, cfg.Steps, opt); err != nil {
+				if _, err := snn.RunBatch(net, inputs, enc, cfg.Steps, workers); err != nil {
 					runErr = err
 					tb.FailNow()
 				}
@@ -46,7 +47,7 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		return nil
 	}
 
-	for _, name := range []string{"mnist-mlp", "mnist-cnn", "cifar-cnn"} {
+	for _, name := range []string{"mnist-mlp", "mnist-cnn", "cifar-mlp", "cifar-cnn"} {
 		b, err := bench.ByName(name)
 		if err != nil {
 			return nil, nil, fmtErr("perfsuite", err)
@@ -59,47 +60,13 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		if err != nil {
 			return nil, nil, fmtErr("perfsuite", err)
 		}
-		if err := addEval(name, net, inputs, 1, "serial", snn.Options{}); err != nil {
+		if err := addEval(name, net, inputs, 1, "serial"); err != nil {
 			return nil, nil, fmtErr("perfsuite", err)
 		}
-		if name != "cifar-cnn" {
-			pool := parallel.Clamp(cfg.Workers, len(inputs))
-			if err := addEval(name, net, inputs, pool, "parallel", snn.Options{}); err != nil {
+		if pool := parallel.Clamp(cfg.Workers, len(inputs)); pool >= 2 && strings.HasPrefix(name, "mnist-") {
+			if err := addEval(name, net, inputs, pool, "parallel"); err != nil {
 				return nil, nil, fmtErr("perfsuite", err)
 			}
-		}
-		// The CNN benchmarks additionally measure the batch-major (SoA)
-		// runner — the mode serving and bulk evaluation use — at one worker,
-		// so the JSON records its cost next to the per-image serial path
-		// (bit-identical results; see snn.BatchState).
-		if strings.HasSuffix(name, "-cnn") {
-			if err := addEval(name, net, inputs, 1, "batched", snn.Options{Batch: 8}); err != nil {
-				return nil, nil, fmtErr("perfsuite", err)
-			}
-		}
-	}
-
-	// Blocked vs stepped functional runner on the largest dense benchmark
-	// (cifar-mlp), single worker: the pair isolates the layer-major
-	// temporal-blocking speedup of snn.RunBlocked from pool scaling.
-	{
-		b, err := bench.ByName("cifar-mlp")
-		if err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
-		}
-		net, err := b.Build(cfg.Seed)
-		if err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
-		}
-		inputs, err := inputsFor(b, net, cfg)
-		if err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
-		}
-		if err := addEval("cifar-mlp", net, inputs, 1, "blocked", snn.Options{}); err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
-		}
-		if err := addEval("cifar-mlp", net, inputs, 1, "stepped", snn.Options{Stepped: true}); err != nil {
-			return nil, nil, fmtErr("perfsuite", err)
 		}
 	}
 
@@ -120,8 +87,6 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	copt := core.DefaultOptions()
 	copt.Params = cfg.Params
 	copt.Steps = cfg.Steps
-	copt.Stepped = cfg.Stepped
-	copt.BlockSize = cfg.BlockSize
 	chip, err := core.New(net, m, copt)
 	if err != nil {
 		return nil, nil, fmtErr("perfsuite", err)
@@ -130,16 +95,20 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 	if err != nil {
 		return nil, nil, fmtErr("perfsuite", err)
 	}
-	pool := parallel.Clamp(cfg.Workers, len(inputs))
-	for _, w := range []struct {
-		workers int
-		label   string
-	}{{1, "serial"}, {pool, "parallel"}} {
+	pools := []int{1}
+	if pool := parallel.Clamp(cfg.Workers, len(inputs)); pool >= 2 {
+		pools = append(pools, pool)
+	}
+	for _, workers := range pools {
+		label := "serial"
+		if workers > 1 {
+			label = "parallel"
+		}
 		var runErr error
 		res := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
 			for i := 0; i < tb.N; i++ {
-				if _, _, err := chip.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: w.workers}); err != nil {
+				if _, _, err := chip.ClassifyBatch(inputs, cfg.encoders(), sim.Options{Workers: workers}); err != nil {
 					runErr = err
 					tb.FailNow()
 				}
@@ -148,7 +117,7 @@ func PerfSuite(cfg Config) ([]perf.BenchEntry, *report.Table, error) {
 		if runErr != nil {
 			return nil, nil, fmtErr("perfsuite", runErr)
 		}
-		entries = append(entries, benchEntry("chip/mnist-mlp/"+w.label, res, len(inputs), w.workers))
+		entries = append(entries, benchEntry("chip/mnist-mlp/"+label, res, len(inputs), workers))
 	}
 
 	t := report.NewTable("Evaluation pipeline benchmarks",

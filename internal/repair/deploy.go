@@ -307,11 +307,11 @@ func (d *Deployment) apply() {
 // Agreement classifies inputs on the deployed network and on the clean
 // reference and returns the prediction agreement fraction.
 func (d *Deployment) Agreement(inputs []tensor.Vec, enc snn.EncoderFactory, steps, workers int) (float64, error) {
-	got, err := snn.RunBatch(d.Net, inputs, enc, steps, snn.Options{Workers: workers})
+	got, err := snn.RunBatch(d.Net, inputs, enc, steps, workers)
 	if err != nil {
 		return 0, err
 	}
-	ref, err := snn.RunBatch(d.ref, inputs, enc, steps, snn.Options{Workers: workers})
+	ref, err := snn.RunBatch(d.ref, inputs, enc, steps, workers)
 	if err != nil {
 		return 0, err
 	}

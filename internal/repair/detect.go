@@ -117,7 +117,7 @@ func NewDetector(dep *Deployment, cfg DetectConfig, inputs []tensor.Vec, enc snn
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("repair: detector needs canary inputs")
 	}
-	ref, err := snn.RunBatch(dep.Ref(), inputs, enc, steps, snn.Options{Workers: cfg.Workers})
+	ref, err := snn.RunBatch(dep.Ref(), inputs, enc, steps, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func (dt *Detector) Canaries() []tensor.Vec { return dt.inputs }
 // predictions, a sampled scan, and a damage survey. The scan cursor
 // advances so consecutive probes verify different crossbars.
 func (dt *Detector) Probe() (Detection, error) {
-	got, err := snn.RunBatch(dt.dep.Net, dt.inputs, dt.enc, dt.steps, snn.Options{Workers: dt.cfg.Workers})
+	got, err := snn.RunBatch(dt.dep.Net, dt.inputs, dt.enc, dt.steps, dt.cfg.Workers)
 	if err != nil {
 		return Detection{}, err
 	}

@@ -45,10 +45,6 @@ type RegistryConfig struct {
 	Params energy.Params
 	// Tech is the memristive technology.
 	Tech device.Technology
-	// Stepped forces the step-major functional runner instead of the
-	// default blocked layer-major one (bit-identical results; see
-	// snn.RunBlocked).
-	Stepped bool
 	// Shards, when > 1, also registers a multi-chip pipeline backend
 	// (internal/shard) per model under its own name ("resparc-x4"); the
 	// shard count is clamped to the model's layer count.
@@ -135,12 +131,10 @@ func (m *Model) Backends() []string {
 // ClassifyEach classifies the batch on the requested backend, one encoder
 // fork per request seed, and returns per-request results and predictions in
 // input order. Request i's outcome depends only on (inputs[i], seeds[i]), so
-// it is independent of batch composition, worker count and the batch-major
-// group size — the serving determinism contract. batch > 1 evaluates the
-// flush batch-major inside the simulator (sim.Options.Batch); <= 1 evaluates
-// per image. Every backend is driven through the one sim.Backend interface;
-// the model never special-cases a backend type.
-func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64, workers, batch int) ([]perf.Result, []int, error) {
+// it is independent of batch composition and worker count — the serving
+// determinism contract. Every backend is driven through the one sim.Backend
+// interface; the model never special-cases a backend type.
+func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64, workers int) ([]perf.Result, []int, error) {
 	// The read lock spans the whole evaluation: a repair pass (write side)
 	// rewrites the network's weights in place and must see no batch in
 	// flight. Nested locking is avoided — the backend lookup happens under
@@ -152,7 +146,7 @@ func (m *Model) ClassifyEach(backend Backend, inputs []tensor.Vec, seeds []int64
 		return nil, nil, fmt.Errorf("serve: unknown backend %q", backend)
 	}
 	enc := func(i int) snn.Encoder { return m.enc.ForkSeed(int(seeds[i])) }
-	ress, reps, err := bk.ClassifyEach(inputs, enc, sim.Options{Workers: workers, Batch: batch})
+	ress, reps, err := bk.ClassifyEach(inputs, enc, sim.Options{Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,7 +262,6 @@ func (r *Registry) AddNetwork(net *snn.Network) (*Model, error) {
 	copt := core.DefaultOptions()
 	copt.Params = r.cfg.Params
 	copt.Steps = r.cfg.Steps
-	copt.Stepped = r.cfg.Stepped
 	chip, err := core.New(net, m, copt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing chip for %q: %w", net.Name, err)
@@ -276,7 +269,6 @@ func (r *Registry) AddNetwork(net *snn.Network) (*Model, error) {
 	bopt := cmosbase.DefaultOptions()
 	bopt.Params = r.cfg.Params
 	bopt.Steps = r.cfg.Steps
-	bopt.Stepped = r.cfg.Stepped
 	base, err := cmosbase.New(net, bopt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: preparing baseline for %q: %w", net.Name, err)

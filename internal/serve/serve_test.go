@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"resparc/internal/perf"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
 )
@@ -426,9 +427,9 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
-// Config.SimBatch routes every flushed micro-batch through the simulator's
-// batch-major runner; request outcomes must stay bit-identical to the
-// per-image evaluation for every backend and any group size.
+// A flushed micro-batch is one simulator call over several requests; every
+// request's outcome must stay bit-identical to classifying it alone, for
+// every backend, any flush size and any worker count.
 func TestSimBatchMatchesPerImage(t *testing.T) {
 	reg := testRegistry(t)
 	model := reg.Models()[0]
@@ -439,19 +440,27 @@ func TestSimBatchMatchesPerImage(t *testing.T) {
 		seeds[i] = int64(10 + i)
 	}
 	for _, backend := range model.Backends() {
-		ref, refPreds, err := model.ClassifyEach(Backend(backend), inputs, seeds, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range []int{2, 4, 16} {
-			got, preds, err := model.ClassifyEach(Backend(backend), inputs, seeds, 1, batch)
+		ref := make([]perf.Result, len(inputs))
+		refPreds := make([]int, len(inputs))
+		for i := range inputs {
+			got, preds, err := model.ClassifyEach(Backend(backend), inputs[i:i+1], seeds[i:i+1], 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range inputs {
-				if !reflect.DeepEqual(got[i], ref[i]) || preds[i] != refPreds[i] {
-					t.Fatalf("%s batch=%d request %d: %+v pred %d, want %+v pred %d",
-						backend, batch, i, got[i], preds[i], ref[i], refPreds[i])
+			ref[i], refPreds[i] = got[0], preds[0]
+		}
+		for _, batch := range []int{2, 4, 16} {
+			for lo := 0; lo < len(inputs); lo += batch {
+				hi := min(lo+batch, len(inputs))
+				got, preds, err := model.ClassifyEach(Backend(backend), inputs[lo:hi], seeds[lo:hi], 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], ref[lo+i]) || preds[i] != refPreds[lo+i] {
+						t.Fatalf("%s batch=%d request %d: %+v pred %d, want %+v pred %d",
+							backend, batch, lo+i, got[i], preds[i], ref[lo+i], refPreds[lo+i])
+					}
 				}
 			}
 		}

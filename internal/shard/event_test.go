@@ -109,8 +109,8 @@ func TestShardEventMatchesSingleChipEvent(t *testing.T) {
 
 // TestShardEventDeterministic: sharded results and their pipeline
 // composition are a pure function of the inputs — identical across
-// repeated runs and batch-major grouping — and the pipelined makespan beats
-// the serial chip-plus-link cycles.
+// repeated runs — and the pipelined makespan beats the serial
+// chip-plus-link cycles.
 func TestShardEventDeterministic(t *testing.T) {
 	b := bench.All()[0]
 	chip := chipFor(t, b)
@@ -130,21 +130,19 @@ func TestShardEventDeterministic(t *testing.T) {
 				i, mk, ad.Chip.Counts.Cycles, ad.Link.Cycles)
 		}
 	}
-	for _, opt := range []sim.Options{{}, {Batch: 2}} {
-		g, gReps, err := multi.ClassifyEach(inputs, factoryFor(7), opt)
-		if err != nil {
-			t.Fatal(err)
+	g, gReps, err := multi.ClassifyEach(inputs, factoryFor(7), sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range inputs {
+		if !reflect.DeepEqual(a[i], g[i]) || aReps[i].Predicted != gReps[i].Predicted {
+			t.Fatalf("image %d: results vary across runs", i)
 		}
-		for i := range inputs {
-			if !reflect.DeepEqual(a[i], g[i]) || aReps[i].Predicted != gReps[i].Predicted {
-				t.Fatalf("opt %+v image %d: results vary across runs", opt, i)
-			}
-			ad := aReps[i].Detail.(Report)
-			gd := gReps[i].Detail.(Report)
-			if ad.Chip.Counts != gd.Chip.Counts || !reflect.DeepEqual(ad.Hops, gd.Hops) ||
-				!reflect.DeepEqual(multi.Pipeline(ad), multi.Pipeline(gd)) {
-				t.Fatalf("opt %+v image %d: accounting varies across runs", opt, i)
-			}
+		ad := aReps[i].Detail.(Report)
+		gd := gReps[i].Detail.(Report)
+		if ad.Chip.Counts != gd.Chip.Counts || !reflect.DeepEqual(ad.Hops, gd.Hops) ||
+			!reflect.DeepEqual(multi.Pipeline(ad), multi.Pipeline(gd)) {
+			t.Fatalf("image %d: accounting varies across runs", i)
 		}
 	}
 }

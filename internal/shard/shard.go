@@ -398,7 +398,7 @@ func (r *replayEncoder) Encode(_ tensor.Vec, dst *bitvec.Bits) {
 // upstream boundary raster in; for s < last the shard's boundary output is
 // captured into out.
 func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity tensor.Vec, enc snn.Encoder,
-	in, out []*bitvec.Bits, opt sim.Options) (core.Report, snn.RunResult) {
+	in, out []*bitvec.Bits) (core.Report, snn.RunResult) {
 	acct.Reset()
 	var obs snn.Observer = acct
 	if out != nil {
@@ -409,16 +409,7 @@ func (m *Multi) runStage(s int, st *snn.State, acct *core.Accountant, intensity 
 		intensity = nil
 	}
 	steps := m.chip.Opt.Steps
-	var run snn.RunResult
-	if m.chip.Opt.Stepped || opt.Stepped {
-		run = st.RunObserved(intensity, enc, steps, obs)
-	} else {
-		bs := m.chip.Opt.BlockSize
-		if opt.BlockSize > 0 {
-			bs = opt.BlockSize
-		}
-		run = st.RunBlockedK(intensity, enc, steps, bs, obs)
-	}
+	run := st.RunBlocked(intensity, enc, steps, obs)
 	_, rep := acct.Report(run.Prediction, steps)
 	return rep, run
 }
@@ -547,7 +538,7 @@ func (m *Multi) Classify(intensity tensor.Vec, enc snn.Encoder) (perf.Result, si
 		if s < S-1 {
 			out = m.newRaster(s)
 		}
-		parts[s], run = m.runStage(s, st, acct, intensity, enc, in, out, sim.Options{})
+		parts[s], run = m.runStage(s, st, acct, intensity, enc, in, out)
 		if s < S-1 {
 			hops[s], hopSteps[s] = m.linkCost(out)
 		}

@@ -9,6 +9,7 @@ import (
 	"resparc/internal/core"
 	"resparc/internal/dataset"
 	"resparc/internal/mapping"
+	"resparc/internal/perf"
 	"resparc/internal/sim"
 	"resparc/internal/snn"
 	"resparc/internal/tensor"
@@ -299,10 +300,11 @@ func TestClassifyBatchAggregate(t *testing.T) {
 	}
 }
 
-// Options.Batch moves groups of images down the pipeline batch-major; every
-// group size (including ones that don't divide the input count, and ones
-// larger than it) must stay bit-identical to the per-image pipeline on a
-// conv benchmark — results, chip counters, link traffic, per-shard parts.
+// Image i's outcome depends only on (inputs[i], enc(i)), never on how the
+// stream is cut into ClassifyEach calls: every group size (including ones
+// that don't divide the input count, and ones larger than it) must stay
+// bit-identical to one pipelined pass over all images on a conv benchmark —
+// results, chip counters, link traffic, per-shard parts.
 func TestPipelineBatchMajorMatchesPerImage(t *testing.T) {
 	b, err := bench.ByName("mnist-cnn")
 	if err != nil {
@@ -318,10 +320,18 @@ func TestPipelineBatchMajorMatchesPerImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := factoryFor(11)
 	for _, batch := range []int{2, 3, 8} {
-		got, gotReps, err := multi.ClassifyEach(inputs, factoryFor(11), sim.Options{Batch: batch})
-		if err != nil {
-			t.Fatal(err)
+		var got []perf.Result
+		var gotReps []sim.Report
+		for lo := 0; lo < len(inputs); lo += batch {
+			hi := min(lo+batch, len(inputs))
+			enc := func(i int) snn.Encoder { return full(lo + i) }
+			r, rp, err := multi.ClassifyEach(inputs[lo:hi], enc, sim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotReps = append(got, r...), append(gotReps, rp...)
 		}
 		for i := range inputs {
 			if !reflect.DeepEqual(got[i], ress[i]) {

@@ -98,12 +98,12 @@ func TestRunBatchParallelMatchesSerial(t *testing.T) {
 			inputs := batchInputs(13, tc.net.Input.Size(), 99)
 			base := NewPoissonEncoder(0.8, 7)
 			enc := func(i int) Encoder { return base.ForkSeed(i) }
-			serial, err := RunBatch(tc.net, inputs, enc, 20, Options{Workers: 1})
+			serial, err := RunBatch(tc.net, inputs, enc, 20, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 16} {
-				par, err := RunBatch(tc.net, inputs, enc, 20, Options{Workers: workers})
+				par, err := RunBatch(tc.net, inputs, enc, 20, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,11 +123,11 @@ func TestRunBatchDefaultWorkers(t *testing.T) {
 	inputs := batchInputs(5, net.Input.Size(), 3)
 	base := NewPoissonEncoder(0.8, 7)
 	enc := func(i int) Encoder { return base.ForkSeed(i) }
-	serial, err := RunBatch(net, inputs, enc, 12, Options{Workers: 1})
+	serial, err := RunBatch(net, inputs, enc, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := RunBatch(net, inputs, enc, 12, Options{})
+	auto, err := RunBatch(net, inputs, enc, 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +139,10 @@ func TestRunBatchDefaultWorkers(t *testing.T) {
 func TestRunBatchValidation(t *testing.T) {
 	net := testMLP(t)
 	enc := func(i int) Encoder { return NewPoissonEncoder(0.8, int64(i)) }
-	if _, err := RunBatch(net, nil, enc, 10, Options{Workers: 2}); err == nil {
+	if _, err := RunBatch(net, nil, enc, 10, 2); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := RunBatch(net, batchInputs(2, net.Input.Size(), 1), enc, 0, Options{Workers: 2}); err == nil {
+	if _, err := RunBatch(net, batchInputs(2, net.Input.Size(), 1), enc, 0, 2); err == nil {
 		t.Fatal("zero steps accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestEvaluateBatchMatchesEvaluateSemantics(t *testing.T) {
 	inputs := batchInputs(9, net.Input.Size(), 42)
 	base := NewPoissonEncoder(0.8, 7)
 	enc := func(i int) Encoder { return base.ForkSeed(i) }
-	results, err := RunBatch(net, inputs, enc, 16, Options{Workers: 1})
+	results, err := RunBatch(net, inputs, enc, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,14 @@ const DefaultBlockSize = 64
 // block are buffered and replayed through ObserveStep in timestep order, so
 // the architecture simulators consume blocked runs unchanged.
 func (s *State) RunBlocked(intensity tensor.Vec, enc Encoder, steps int, obs Observer) RunResult {
-	return s.RunBlockedK(intensity, enc, steps, 0, obs)
+	return s.runBlockedK(intensity, enc, steps, DefaultBlockSize, obs)
 }
 
-// RunBlockedK is RunBlocked with an explicit block size (<= 0 selects
-// DefaultBlockSize). Any block size yields bit-identical results; the knob
-// trades raster-buffer memory (K bits per neuron) against weight reuse (each
-// layer's weights are streamed steps/K times instead of steps times).
-func (s *State) RunBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer) RunResult {
+// runBlockedK is RunBlocked with an explicit block size (<= 0 selects
+// DefaultBlockSize). Any block size yields bit-identical results; tests use
+// small sizes to exercise partial blocks and carries across block
+// boundaries.
+func (s *State) runBlockedK(intensity tensor.Vec, enc Encoder, steps, blockK int, obs Observer) RunResult {
 	if blockK <= 0 {
 		blockK = DefaultBlockSize
 	}

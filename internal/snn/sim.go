@@ -292,6 +292,10 @@ func (r RunResult) TTFSPrediction() int {
 
 // Run classifies one input by simulating T timesteps and counting output
 // spikes; the class with the most spikes wins. The state is reset first.
+//
+// Run and RunObserved are the step-major reference: one timestep through
+// every layer before the next. Production paths use RunBlocked, which is
+// bit-identical and faster; tests compare it against this loop.
 func (s *State) Run(intensity tensor.Vec, enc Encoder, steps int) RunResult {
 	return s.RunObserved(intensity, enc, steps, nil)
 }
@@ -304,9 +308,10 @@ type Observer interface {
 	ObserveStep(t int, input *bitvec.Bits, layers []*bitvec.Bits)
 }
 
-// RunObserved is Run with a per-timestep observer hook. It encodes directly
-// into the State's input vector and counts output spikes into the State's
-// result scratch, so a warm State classifies without allocating.
+// RunObserved is Run with a per-timestep observer hook — the step-major
+// reference for RunBlocked's observer replay. It encodes directly into the
+// State's input vector and counts output spikes into the State's result
+// scratch, so a warm State classifies without allocating.
 func (s *State) RunObserved(intensity tensor.Vec, enc Encoder, steps int, obs Observer) RunResult {
 	s.Reset()
 	counts, first := s.resetResult()

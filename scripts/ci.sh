@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 echo "== go build ./..."
 go build ./...
 
+# perfbench/ is its own module (see perfbench/go.mod), so the root
+# `go build ./...` never compiles it; an exported-API removal would
+# otherwise only break the benchmark pipeline. -o /dev/null keeps the
+# binary out of the tree.
+echo "== perfbench build + vet"
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
+
 echo "== go test ./..."
 go test ./...
 
