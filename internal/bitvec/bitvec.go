@@ -27,6 +27,11 @@ func New(n int) *Bits {
 // Len returns the number of bits.
 func (b *Bits) Len() int { return b.n }
 
+// Words returns the backing 64-bit words, bit i in bit i&63 of word i>>6;
+// bits past Len are zero. The slice aliases b and is for reading only: the
+// accounting kernel counts spiking rows by masked popcount over it.
+func (b *Bits) Words() []uint64 { return b.words }
+
 // Set sets bit i to 1.
 func (b *Bits) Set(i int) {
 	b.check(i)

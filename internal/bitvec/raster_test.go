@@ -78,69 +78,6 @@ func TestLoad8(t *testing.T) {
 	}
 }
 
-// Raster views alias the shared storage: a Set through one image's view is
-// visible to raster-level Reset, views never allocate, and images are
-// isolated from each other.
-func TestRasterViews(t *testing.T) {
-	r := NewRaster(3, 130)
-	if r.Images() != 3 || r.Len() != 130 {
-		t.Fatalf("raster dims %dx%d", r.Images(), r.Len())
-	}
-	r.Image(0).Set(0)
-	r.Image(1).Set(129)
-	r.Image(2).Set(64)
-	if r.Image(0).Count() != 1 || r.Image(1).Count() != 1 || r.Image(2).Count() != 1 {
-		t.Fatal("cross-image contamination")
-	}
-	if !r.Image(1).Get(129) || r.Image(0).Get(129) {
-		t.Fatal("view bits landed in the wrong image")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if r.Image(2) != r.Image(2) {
-			t.Fatal("Image view not stable")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Raster.Image allocates %.1f times per call", allocs)
-	}
-	r.Reset()
-	for i := 0; i < 3; i++ {
-		if r.Image(i).Any() {
-			t.Fatalf("image %d not cleared by Reset", i)
-		}
-	}
-}
-
-// A view must behave exactly like a standalone Bits for the kernels that
-// consume it (AppendSet / AppendSetRange / Load8).
-func TestRasterViewKernelCompat(t *testing.T) {
-	r := NewRaster(2, 90)
-	ref := New(90)
-	for i := 0; i < 90; i += 7 {
-		r.Image(1).Set(i)
-		ref.Set(i)
-	}
-	v := r.Image(1)
-	if got, want := v.AppendSet(nil), ref.AppendSet(nil); len(got) != len(want) {
-		t.Fatalf("AppendSet: %v vs %v", got, want)
-	}
-	for i := 0; i+8 <= 90; i += 5 {
-		if v.Load8(i) != ref.Load8(i) {
-			t.Fatalf("Load8(%d) differs between view and standalone", i)
-		}
-	}
-	got := v.AppendSetRange(10, 80, -10, nil)
-	want := ref.AppendSetRange(10, 80, -10, nil)
-	if len(got) != len(want) {
-		t.Fatalf("AppendSetRange: %v vs %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendSetRange: %v vs %v", got, want)
-		}
-	}
-}
-
 // Or8 must OR a byte across word boundaries exactly like eight Sets.
 func TestOr8(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

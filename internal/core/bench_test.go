@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"resparc/internal/bench"
+	"resparc/internal/bitvec"
+	"resparc/internal/dataset"
 	"resparc/internal/device"
 	"resparc/internal/mapping"
 	"resparc/internal/snn"
@@ -53,5 +56,95 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.Classify(img, snn.NewPoissonEncoder(0.8, 2))
+	}
+}
+
+// raster is one classification's captured spike raster: every timestep's
+// input vector and layer outputs.
+type raster struct {
+	in  []*bitvec.Bits   // [step]
+	out [][]*bitvec.Bits // [step][layer]
+}
+
+func (r *raster) ObserveStep(_ int, input *bitvec.Bits, layers []*bitvec.Bits) {
+	r.in = append(r.in, input.Clone())
+	outs := make([]*bitvec.Bits, len(layers))
+	for l, b := range layers {
+		outs[l] = b.Clone()
+	}
+	r.out = append(r.out, outs)
+}
+
+// replay feeds the whole raster to an accountant over every layer.
+func (r *raster) replay(a *Accountant) {
+	for t := range r.in {
+		a.ObserveStep(t, r.in[t], r.out[t])
+	}
+}
+
+// benchRaster maps the named calibrated Fig 10 benchmark and captures the
+// raster of its first synthetic test image over steps timesteps.
+func benchRaster(tb testing.TB, name string, steps int) (*Chip, *raster) {
+	tb.Helper()
+	bm, err := bench.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net, err := bm.Build(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := mapping.Map(net, mapping.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Steps = steps
+	chip, err := New(net, m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	set := dataset.Generate(bm.Dataset, 1, 101)
+	img, err := bench.PrepareInput(set.Samples[0].Input, set.Shape, net.Input)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &raster{}
+	snn.NewState(net).RunBlocked(bench.NormalizeIntensity(img), snn.NewPoissonEncoder(bench.EncoderPeak, 1), steps, r)
+	return chip, r
+}
+
+// BenchmarkAccountConv measures the accounting kernel alone on the conv/pool
+// benchmark: one op replays a captured 32-timestep mnist-cnn raster through
+// an accountant over all six layers.
+func BenchmarkAccountConv(b *testing.B) {
+	chip, r := benchRaster(b, "mnist-cnn", 32)
+	a, err := chip.NewAccountant(0, len(chip.Net.Layers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.replay(a)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Reset()
+		r.replay(a)
+	}
+}
+
+// A warmed accountant charges a classification without allocating: its
+// scratch and stage grid are sized on first use and reused after Reset.
+func TestAccountantAllocFree(t *testing.T) {
+	chip, r := benchRaster(t, "mnist-cnn", 8)
+	a, err := chip.NewAccountant(0, len(chip.Net.Layers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.replay(a)
+	if allocs := testing.AllocsPerRun(5, func() {
+		a.Reset()
+		r.replay(a)
+	}); allocs != 0 {
+		t.Fatalf("warmed accountant allocates %.1f times per image", allocs)
 	}
 }

@@ -7,11 +7,12 @@
 // over event counts extracted from the functional SNN simulation — exactly
 // the paper's methodology (§4.2). It scales to the largest Fig 10 benchmark
 // (231k neurons, 5.5M synapses) because it never materializes crossbar
-// weights: it compiles the mapping once into per-layer plans (inverse
-// input->MCA adjacency, per-mPE word lists) and scatters only the spikes
-// that fire each timestep (event.go). The recorded per-(timestep, layer)
-// stage durations give both the serial cycle count and, through
-// internal/event, the pipelined makespan.
+// weights: it compiles the mapping once into per-layer plans (each distinct
+// MCA input list as 64-bit word masks, per-mPE word lists) and counts each
+// timestep's spiking rows by masked popcount over the input words
+// (event.go). The recorded per-(timestep, layer) stage durations give both
+// the serial cycle count and, through internal/event, the pipelined
+// makespan.
 //
 // Its event counts (and cycle counts) are validated against the cycle-level
 // NeuroCell simulator (internal/neurocell) on small networks.
@@ -238,7 +239,6 @@ type observer struct {
 
 	plans   *chipPlans
 	scratch []layerScratch  // per local layer
-	token   int32           // stamp of the current (step, layer) visit
 	stages  [][]event.Stage // [step][local layer]; the first nsteps rows are live
 	nsteps  int
 }
@@ -273,11 +273,9 @@ func (o *observer) reset() {
 	o.traceErr = nil
 	o.nsteps = 0
 	// Pick up plans recompiled after a remap, dropping scratch sized for
-	// the old ones; the same reallocation re-zeroes stamps on (absurdly
-	// rare) token wraparound.
-	if cp := o.chip.layerPlans(); cp != o.plans || o.token > 1<<30 {
+	// the old ones.
+	if cp := o.chip.layerPlans(); cp != o.plans {
 		o.plans = cp
-		o.token = 0
 		for j := range o.scratch {
 			o.scratch[j] = layerScratch{}
 		}

@@ -8,13 +8,16 @@ import (
 
 // This file is the chip's accounting kernel: the transaction-level model of
 // §3 charged per (timestep, layer) over the mapping's compiled plans
-// (mapping.LayerMapping.Plan). Its cost scales with spike count rather than
-// timesteps x mapped inputs: one pass over a layer's input spikes stamps
-// packet-word occupancy and scatters each spike to the MCAs it drives (the
-// plan's inverse adjacency), then charges flow run by run — an mPE run's
-// active MCAs in allocation order, then the run's deduped source words in
-// first-encounter order. That fixed order pins every float sum, so energies
-// are reproducible bit for bit across runs, worker counts and shard cuts.
+// (mapping.LayerMapping.Plan). Each (timestep, layer) visit first counts the
+// layer's input word-parallel (LayerPlan.Count): every row set — a distinct
+// MCA input list, shared by MCAs with identical inputs — gets its
+// spiking-row count as a masked popcount over the 64-bit input words it
+// reads, and one pass over the packet words marks occupancy. The cost scales
+// with row sets x words, not spikes x fan-out. Charges then flow run by run —
+// an mPE run's active MCAs in allocation order, then the run's deduped
+// source words in first-encounter order. That fixed order pins every float
+// sum, so energies are reproducible bit for bit across runs, worker counts
+// and shard cuts.
 //
 // Each stage's duration is recorded split by resource class (Report.Stages)
 // and Counts.Cycles is their serial sum. event.Pipeline composes the same
@@ -49,23 +52,20 @@ func (c *Chip) layerPlans() *chipPlans {
 	return cp
 }
 
-// layerScratch is one layer's per-observer scratch. Row counts and word
-// occupancy are stamp-managed: a cell is valid only if its token matches the
-// current (step, layer) visit, so nothing is cleared between steps.
+// layerScratch is one layer's per-observer scratch, fully overwritten on
+// every (step, layer) visit.
 type layerScratch struct {
-	groups  []int32 // active-MCA count per output group
-	rows    []int32 // spiking-row count per MCA
-	rowTok  []int32
-	wordTok []int32 // packet-word occupancy stamp
+	groups []int32 // active-MCA count per output group
+	rows   []int32 // spiking-row count per row set
+	occ    []bool  // packet-word occupancy
 }
 
 func (o *observer) layerScratch(j int, lm *mapping.LayerMapping, pl *mapping.LayerPlan) *layerScratch {
 	sc := &o.scratch[j]
 	if sc.rows == nil {
 		sc.groups = make([]int32, lm.Groups)
-		sc.rows = make([]int32, len(pl.MCAs))
-		sc.rowTok = make([]int32, len(pl.MCAs))
-		sc.wordTok = make([]int32, pl.NWords)
+		sc.rows = make([]int32, pl.NSets)
+		sc.occ = make([]bool, pl.NWords)
 	}
 	return sc
 }
@@ -100,27 +100,10 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		prevCnt := o.cnt
 		prevE := *le
 
-		// One pass over the spikes: stamp packet-word occupancy and scatter
-		// each spike to the MCAs it drives.
-		o.token++
-		tok := o.token
+		// Count the input: spiking rows per row set, occupied packet words.
 		sc := o.layerScratch(j, lm, pl)
-		rows, rowTok, wordTok := sc.rows, sc.rowTok, sc.wordTok
-		occWords := 0
-		cur.ForEachSet(func(i int) {
-			wd := i / w
-			if wordTok[wd] != tok {
-				wordTok[wd] = tok
-				occWords++
-			}
-			for _, m := range pl.Targets(i) {
-				if rowTok[m] != tok {
-					rowTok[m] = tok
-					rows[m] = 0
-				}
-				rows[m]++
-			}
-		})
+		rows, occ := sc.rows, sc.occ
+		occWords := pl.Count(cur, rows, occ)
 
 		// ---- Global control: event-flag synchronization (flags are read
 		// eight NeuroCells per access) ----
@@ -163,20 +146,15 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 		delivered := 0
 		maxMux := int32(0)
 		ga := sc.groups
-		for i := range ga {
-			ga[i] = 0
-		}
+		clear(ga)
 		for ri := range pl.Runs {
 			run := &pl.Runs[ri]
 			for mi := run.MCALo; mi < run.MCAHi; mi++ {
-				var r int32
-				if rowTok[mi] == tok {
-					r = rows[mi]
-				}
+				mp := &pl.MCAs[mi]
+				r := rows[mp.RowSet]
 				if r == 0 && ed {
 					continue
 				}
-				mp := &pl.MCAs[mi]
 				o.cnt.MCAActivations++
 				o.cnt.RowsDriven += int(r)
 				le.Peripherals += p.MPEControl
@@ -192,7 +170,7 @@ func (o *observer) ObserveStep(step int, input *bitvec.Bits, layers []*bitvec.Bi
 			}
 			for wi := run.WordLo; wi < run.WordHi; wi++ {
 				le.Peripherals += p.ZeroCheck
-				if wordTok[pl.Words[wi]] == tok || !ed {
+				if occ[pl.Words[wi]] || !ed {
 					delivered++
 					le.Peripherals += p.SwitchHop + 2*p.BufferAccess
 				} else {

@@ -397,38 +397,22 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 		mpeSpan: (len(lm.MCAs) + cfg.MCAsPerMPE - 1) / cfg.MCAsPerMPE,
 		step:    make([]stepCost, ev.cons.Steps),
 	}
-	rows := make([]int32, len(lm.MCAs))
-	rowTok := make([]int32, len(lm.MCAs))
-	wordTok := make([]int32, pl.NWords)
+	rows := make([]int32, pl.NSets)
+	occ := make([]bool, pl.NWords)
 	ga := make([]int32, lm.Groups)
 	for t := 0; t < ev.cons.Steps; t++ {
-		tok := int32(t + 1)
-		ev.in[li][t].ForEachSet(func(i int) {
-			wordTok[i/w] = tok
-			for _, m := range pl.Targets(i) {
-				if rowTok[m] != tok {
-					rowTok[m] = tok
-					rows[m] = 0
-				}
-				rows[m]++
-			}
-		})
+		pl.Count(ev.in[li][t], rows, occ)
 		sc := &st.step[t]
-		for i := range ga {
-			ga[i] = 0
-		}
+		clear(ga)
 		for _, r := range pl.Runs {
 			for mi := r.MCALo; mi < r.MCAHi; mi++ {
-				var rr int32
-				if rowTok[mi] == tok {
-					rr = rows[mi]
-				}
+				mp := &pl.MCAs[mi]
+				rr := rows[mp.RowSet]
 				if rr == 0 && ed {
 					continue
 				}
 				sc.active++
 				sc.rows += rr
-				mp := &pl.MCAs[mi]
 				sc.crossbarE += float64(rr) * mp.FactorXbar
 				sc.integrations += mp.Outs
 				if ga[mp.Group]++; ga[mp.Group] > sc.maxMux {
@@ -437,7 +421,7 @@ func (ev *evaluator) buildStats(li, szIdx int) (*sizeStats, error) {
 			}
 			for wi := r.WordLo; wi < r.WordHi; wi++ {
 				sc.words++
-				if wordTok[pl.Words[wi]] == tok || !ed {
+				if occ[pl.Words[wi]] || !ed {
 					sc.delivered++
 				}
 			}

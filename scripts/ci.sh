@@ -70,8 +70,9 @@ if ! diff -u scripts/mapping_api_surface.golden /tmp/mapping_api_surface.txt; th
     exit 1
 fi
 
-echo "== fuzz smoke (FuzzFaultMap, 5s)"
+echo "== fuzz smoke (FuzzFaultMap, FuzzLayerPlanCounts; 5s each)"
 go test -run Fuzz -fuzz=FuzzFaultMap -fuzztime=5s ./internal/fault/
+go test -run Fuzz -fuzz=FuzzLayerPlanCounts -fuzztime=5s ./internal/mapping/
 
 # Perf regression check — fatal: a committed benchmark that regresses more
 # than 10% against its previous entry fails the build. Timings drift with
