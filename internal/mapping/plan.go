@@ -149,7 +149,6 @@ func (lm *LayerMapping) Plan(size, width int, p energy.Params) LayerPlan {
 			setOf[h] = set
 			setMCA = append(setMCA, ai)
 			sorted = pl.addSet(mca.Inputs, sorted)
-			pl.NSets++
 		}
 		pl.MCAs[ai] = MCAPlan{
 			FactorXbar: usedPerRow*p.XbarCellActive + idlePerRow*p.XbarCellActive*p.XbarIdleFrac,
@@ -188,8 +187,8 @@ func hashInputs(ins []int32) uint64 {
 }
 
 // addSet compiles one input list into a new row set's (word, mask) entries,
-// using buf as scratch to sort an unsorted list, and returns buf. Within a word the j-th copy of
-// a repeated input goes into the word's j-th mask.
+// using buf as scratch to sort an unsorted list, and returns buf. Within a
+// word the j-th copy of a repeated input goes into the word's j-th mask.
 func (pl *LayerPlan) addSet(inputs, buf []int32) []int32 {
 	set := int32(pl.NSets)
 	if !slices.IsSorted(inputs) {
@@ -213,5 +212,6 @@ func (pl *LayerPlan) addSet(inputs, buf []int32) []int32 {
 		}
 		pl.Entries[first+dup].Mask |= 1 << uint(in&63)
 	}
+	pl.NSets++
 	return buf
 }
